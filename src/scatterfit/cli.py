@@ -480,16 +480,11 @@ def cmd_sweep_loss(cfg, out_dir: str, quiet: bool, scatterer: int, slot: str, ra
     for off in offsets:
         theta = theta0.copy()
         theta[j] += off
-        m = model.unpack(theta)
-        g = synthesize_profiles(m, wf, grid, lmat)
-        jac = profile_jacobians(m, wf, grid, lmat)
-        cl = ncl = 0.0
-        cg = ncg = 0.0
-        for k in range(len(lines)):
-            cl += coherent_loss(zs[k], g[k], w)
-            ncl += noncoherent_loss(zs[k], g[k], w)
-            cg += coherent_loss_gradient(zs[k], g[k], jac[k], w)[j]
-            ncg += noncoherent_loss_gradient(zs[k], g[k], jac[k], w, clamp)[j]
+        g, jac = profile_jacobians(model.unpack(theta), wf, grid, lmat)
+        cl = coherent_loss(zs, g, w)
+        ncl = noncoherent_loss(zs, g, w)
+        cg = coherent_loss_gradient(zs, g, jac, w)[j]
+        ncg = noncoherent_loss_gradient(zs, g, jac, w, clamp)[j]
         rows.append(",".join(_fmt(v) for v in (off, cl, ncl, cg, ncg)))
     _write(out_dir, "sweep.csv", "\n".join(rows) + "\n", quiet)
     _write_echo(out_dir, cfg, quiet)

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .loss import Observation, WeightMatrix, batch_gradient, batch_loss
-from .model import PointScatteringModel, ProfileJacobian, RangeGrid, profile_jacobians, synthesize_profiles
+from .loss import Observation, WeightMatrix, _stacked, batch_gradient, batch_loss
+from .model import PointScatteringModel, RangeGrid, profile_jacobians
 from .waveform import WaveformKernel
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -154,11 +154,8 @@ def _as_observations(data) -> list[Observation]:
 def _residual_power(
     obs: list[Observation], model: PointScatteringModel, wf: WaveformKernel
 ) -> np.ndarray:
-    rows = []
-    for o in obs:
-        g = synthesize_profiles(model, wf, o.grid, o.line)[0]
-        rows.append(np.abs(o.z - g) ** 2)
-    return np.stack(rows)
+    zmat, gmat, _ = _stacked(obs, model, wf)
+    return np.abs(zmat - gmat) ** 2
 
 
 def gradient_descent(
@@ -270,7 +267,7 @@ class FisherInfo:
 
 def fisher_info(jac, sigma2: float | None = None, noise_cov: np.ndarray | None = None) -> FisherInfo:
     """J = 2 Re{G^H R^-1 G}; pass sigma2 for R = sigma2 * I, or a full R."""
-    g = jac.matrix if isinstance(jac, ProfileJacobian) else np.asarray(jac)
+    g = np.asarray(jac)
     if (sigma2 is None) == (noise_cov is None):
         raise ValueError("pass exactly one of sigma2 or noise_cov")
     if sigma2 is not None:
@@ -335,9 +332,6 @@ def crlb(
     sigma2: float,
 ) -> CrlbResult:
     """Parameter bound for a model observed from a set of sight lines."""
-    if sigma2 <= 0.0:
-        raise ValueError(f"noise power must be > 0, got {sigma2}")
     lmat = np.stack([l.vec for l in lines]) if isinstance(lines, (list, tuple)) else np.asarray(lines)
-    jmat = profile_jacobians(model, wf, grid, lmat)
-    total = (2.0 / sigma2) * np.einsum("kmp,kmq->pq", np.conj(jmat), jmat).real
-    return crlb_from_fisher(FisherInfo((total + total.T) / 2.0))
+    _, jmat = profile_jacobians(model, wf, grid, lmat)
+    return crlb_from_fisher(fisher_info(jmat.reshape(-1, model.n_params), sigma2))

@@ -14,12 +14,13 @@ zero subgradient there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
 from .geometry import SightLine
-from .model import PointScatteringModel, RangeGrid, synthesize_profiles, profile_jacobians
+from .model import PointScatteringModel, RangeGrid, profile_jacobians, synthesize_profiles
 from .waveform import WaveformKernel
 
 
@@ -93,8 +94,14 @@ class WeightMatrix:
 
 
 def _quad(w: WeightMatrix, r: np.ndarray) -> float:
-    """r^H W r summed over every axis (real, >= 0 for PSD weights)."""
-    return float(np.sum((np.conj(r) * w.apply(r)).real))
+    """r^H W r summed over the bins, then over the aspects of a (K, m) stack."""
+    return float(np.sum((np.conj(r) * w.apply(r)).real, axis=-1).sum())
+
+
+def _contract(jac: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """sum_k J_k^T d_k: jac (m, P) or (K, m, P) against d (m,) or (K, m), giving (P,)."""
+    m, p = jac.shape[-2:]
+    return np.einsum("kmp,km->p", jac.reshape(-1, m, p), d.reshape(-1, m))
 
 
 @dataclass(frozen=True)
@@ -115,10 +122,9 @@ class Observation:
         object.__setattr__(self, "z", z)
 
 
-def amplitude_vector(x: np.ndarray) -> np.ndarray:
-    """Elementwise modulus."""
-    return np.abs(x)
-
+# Every loss and gradient below takes one profile, z and g of shape (m,) with
+# jac (m, P), or a stack of aspects, (K, m) with (K, m, P), summed over the
+# aspects.
 
 def coherent_loss(z: np.ndarray, g: np.ndarray, w: WeightMatrix) -> float:
     """(z - g)^H W (z - g)."""
@@ -128,7 +134,7 @@ def coherent_loss(z: np.ndarray, g: np.ndarray, w: WeightMatrix) -> float:
 def coherent_loss_gradient(z: np.ndarray, g: np.ndarray, jac: np.ndarray, w: WeightMatrix) -> np.ndarray:
     """2 Re{G^H W (g - z)}, the exact loss gradient in the model slots."""
     res = w.apply(np.asarray(g) - np.asarray(z))
-    return 2.0 * (np.conj(jac).T @ res).real
+    return 2.0 * _contract(np.conj(jac), res).real
 
 
 def noncoherent_loss(z: np.ndarray, g: np.ndarray, w: WeightMatrix) -> float:
@@ -149,9 +155,10 @@ def noncoherent_loss_gradient(
     z: np.ndarray, g: np.ndarray, jac: np.ndarray, w: WeightMatrix, clamp: float = 0.0
 ) -> np.ndarray:
     """2 (U_r G_r + U_i G_i)^T W (|g| - |z|) with U the modulus direction."""
-    ur, ui = _modulus_direction(np.asarray(g), clamp)
-    slope = ur[:, None] * jac.real + ui[:, None] * jac.imag
-    return 2.0 * slope.T @ w.apply(np.abs(g) - np.abs(z))
+    g = np.asarray(g)
+    ur, ui = _modulus_direction(g, clamp)
+    slope = ur[..., None] * jac.real + ui[..., None] * jac.imag
+    return 2.0 * _contract(slope, w.apply(np.abs(g) - np.abs(z)))
 
 
 def noncoherent_clamp(wf: WaveformKernel) -> float:
@@ -159,23 +166,41 @@ def noncoherent_clamp(wf: WaveformKernel) -> float:
     return 1e-12 * wf.peak
 
 
-def _stacked(observations: list[Observation]) -> tuple[np.ndarray, np.ndarray, RangeGrid] | None:
-    """Stack observations sharing one grid; None if the grids differ."""
-    g0 = observations[0].grid
-    if any(o.grid != g0 for o in observations[1:]):
-        return None
-    zmat = np.stack([o.z for o in observations])
-    lmat = np.stack([o.line.vec for o in observations])
-    return zmat, lmat, g0
+def _stacked(
+    observations: list[Observation], model: PointScatteringModel, wf: WaveformKernel, jacobian: bool = False
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Observed and modeled profiles (K, m) in observation order, plus the
+    Jacobians (K, m, P) when asked.
+
+    Each run of consecutive observations on one grid is one model call, so a
+    pattern on a shared grid is a single call; slicing runs, rather than
+    gathering rows by grid, keeps the per-call overhead of small fits low.
+    """
+    # np.array, not np.stack: the same (K, m) copy at a fraction of the call cost
+    zmat = np.array([o.z for o in observations])
+    lmat = np.array([o.line.vec for o in observations])
+    gmat = np.empty_like(zmat)
+    jmat = np.empty(zmat.shape + (model.n_params,), dtype=complex) if jacobian else None
+    start = 0
+    for grid, run in groupby(observations, key=lambda o: o.grid):
+        rows = slice(start, start + len(list(run)))
+        if jacobian:
+            gmat[rows], jmat[rows] = profile_jacobians(model, wf, grid, lmat[rows])
+        else:
+            gmat[rows] = synthesize_profiles(model, wf, grid, lmat[rows])
+        start = rows.stop
+    return zmat, gmat, jmat
 
 
-def _check_batch(observations: list[Observation], w: WeightMatrix) -> None:
+def _check_batch(observations: list[Observation], w: WeightMatrix, kind: str) -> None:
     if not observations:
         raise ValueError("need at least one observation")
     m = observations[0].grid.m
     if any(o.grid.m != m for o in observations):
         raise ValueError("all observations must share the same number of bins")
     w.check_bins(m)
+    if kind not in ("coherent", "noncoherent"):
+        raise ValueError(f"unknown loss kind {kind!r}")
 
 
 def batch_loss(
@@ -186,20 +211,9 @@ def batch_loss(
     kind: str = "coherent",
 ) -> float:
     """Unweighted sum of per-observation losses."""
-    _check_batch(observations, w)
-    if kind not in ("coherent", "noncoherent"):
-        raise ValueError(f"unknown loss kind {kind!r}")
-    stacked = _stacked(observations)
-    if stacked is not None:
-        zmat, lmat, grid = stacked
-        gmat = synthesize_profiles(model, wf, grid, lmat)
-        r = (zmat - gmat) if kind == "coherent" else (np.abs(zmat) - np.abs(gmat))
-        return float(np.sum((np.conj(r) * w.apply(r)).real, axis=-1).sum())
-    total = 0.0
-    for o in observations:
-        g = synthesize_profiles(model, wf, o.grid, o.line)[0]
-        total += coherent_loss(o.z, g, w) if kind == "coherent" else noncoherent_loss(o.z, g, w)
-    return total
+    _check_batch(observations, w, kind)
+    zmat, gmat, _ = _stacked(observations, model, wf)
+    return (coherent_loss if kind == "coherent" else noncoherent_loss)(zmat, gmat, w)
 
 
 def batch_gradient(
@@ -210,28 +224,8 @@ def batch_gradient(
     kind: str = "coherent",
 ) -> np.ndarray:
     """Gradient of batch_loss in the packed model parameters."""
-    _check_batch(observations, w)
-    if kind not in ("coherent", "noncoherent"):
-        raise ValueError(f"unknown loss kind {kind!r}")
-    stacked = _stacked(observations)
-    if stacked is None:
-        out = np.zeros(model.n_params)
-        clamp = noncoherent_clamp(wf)
-        for o in observations:
-            g = synthesize_profiles(model, wf, o.grid, o.line)[0]
-            jac = profile_jacobians(model, wf, o.grid, o.line)[0]
-            if kind == "coherent":
-                out += coherent_loss_gradient(o.z, g, jac, w)
-            else:
-                out += noncoherent_loss_gradient(o.z, g, jac, w, clamp)
-        return out
-    zmat, lmat, grid = stacked
-    gmat = synthesize_profiles(model, wf, grid, lmat)
-    jmat = profile_jacobians(model, wf, grid, lmat)
+    _check_batch(observations, w, kind)
+    zmat, gmat, jmat = _stacked(observations, model, wf, jacobian=True)
     if kind == "coherent":
-        res = w.apply(gmat - zmat)
-        return 2.0 * np.einsum("kmp,km->p", np.conj(jmat), res).real
-    ur, ui = _modulus_direction(gmat, noncoherent_clamp(wf))
-    slope = ur[:, :, None] * jmat.real + ui[:, :, None] * jmat.imag
-    d = w.apply(np.abs(gmat) - np.abs(zmat))
-    return 2.0 * np.einsum("kmp,km->p", slope, d)
+        return coherent_loss_gradient(zmat, gmat, jmat, w)
+    return noncoherent_loss_gradient(zmat, gmat, jmat, w, noncoherent_clamp(wf))

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import C_LIGHT
-from .geometry import DegenerateGeometryError, Position3, SightLine
+from .geometry import DegenerateGeometryError, SightLine
 from .scatterer import Scatterer
 from .waveform import WaveformKernel
 
@@ -62,21 +62,6 @@ class RangeProfile:
             raise ValueError("profile samples must be finite")
         z.setflags(write=False)
         object.__setattr__(self, "samples", z)
-
-
-@dataclass(frozen=True)
-class ProfileJacobian:
-    """d(profile)/d(slots): complex matrix, bins by slots."""
-
-    matrix: np.ndarray
-
-    @property
-    def real(self) -> np.ndarray:
-        return self.matrix.real
-
-    @property
-    def imag(self) -> np.ndarray:
-        return self.matrix.imag
 
 
 @dataclass(frozen=True)
@@ -121,12 +106,6 @@ class PointScatteringModel:
             s.validate()
 
 
-def phase_delay(position: Position3 | np.ndarray, line: SightLine, fc: float) -> complex:
-    """Two-way carrier phase exp(j*4*pi*fc*(p.l)/c) for one scatterer."""
-    p = position.p if isinstance(position, Position3) else np.asarray(position, dtype=float)
-    return complex(np.exp(1j * 4.0 * np.pi * fc / C_LIGHT * float(p @ line.vec)))
-
-
 def _as_line_stack(lines) -> np.ndarray:
     if isinstance(lines, SightLine):
         return lines.vec[None, :]
@@ -147,21 +126,40 @@ def _scatterer_geometry(scatterer: Scatterer, index: int, lines: np.ndarray):
     return np.einsum("kj,kj->k", pos, lines)
 
 
+def _forward(model: PointScatteringModel, wf: WaveformKernel, grid: RangeGrid, lines, jacobian: bool):
+    """Profiles (K, m) and, when asked, Jacobians (K, m, P) from one pass over the scatterers."""
+    lmat = _as_line_stack(lines)
+    bins = grid.bins
+    out = np.zeros((lmat.shape[0], grid.m), dtype=complex)
+    jac = np.zeros((lmat.shape[0], grid.m, model.n_params), dtype=complex) if jacobian else None
+    slots = model.slot_slices() if jacobian else None
+    k4 = 4.0 * np.pi * wf.fc / C_LIGHT
+    for idx, s in enumerate(model.scatterers):
+        pl = _scatterer_geometry(s, idx, lmat)
+        a = s.amplitude_model.value(lmat)
+        gamma = np.exp(1j * k4 * pl)
+        tau = 2.0 * (bins[None, :] + pl[:, None]) / C_LIGHT
+        r = wf.autocorr(tau)
+        out += (a * gamma)[:, None] * r
+        if not jacobian:
+            continue
+        na = s.amplitude_model.n_slots
+        block = jac[:, :, slots[idx]]
+        if na:
+            a_grad = s.amplitude_model.gradient(lmat)
+            block[:, :, :na] = gamma[:, None, None] * r[:, :, None] * a_grad[None, None, :]
+        if s.position_model.n_slots:
+            u = np.einsum("kij,ki->kj", s.position_model.jacobians(lmat), lmat)
+            radial = a * gamma[:, None] * (1j * k4 * r + (2.0 / C_LIGHT) * wf.autocorr_deriv(tau))
+            block[:, :, na:] = radial[:, :, None] * u[:, None, :]
+    return out, jac
+
+
 def synthesize_profiles(
     model: PointScatteringModel, wf: WaveformKernel, grid: RangeGrid, lines
 ) -> np.ndarray:
     """Profiles for a stack of sight lines: complex (K, m) array."""
-    lmat = _as_line_stack(lines)
-    bins = grid.bins
-    out = np.zeros((lmat.shape[0], grid.m), dtype=complex)
-    k4 = 4.0 * np.pi * wf.fc / C_LIGHT
-    for i, s in enumerate(model.scatterers):
-        pl = _scatterer_geometry(s, i, lmat)
-        a = s.amplitude_model.value(lmat)
-        gamma = np.exp(1j * k4 * pl)
-        tau = 2.0 * (bins[None, :] + pl[:, None]) / C_LIGHT
-        out += (a * gamma)[:, None] * wf.autocorr(tau)
-    return out
+    return _forward(model, wf, grid, lines, jacobian=False)[0]
 
 
 def synthesize_profile(
@@ -173,45 +171,16 @@ def synthesize_profile(
 
 def profile_jacobians(
     model: PointScatteringModel, wf: WaveformKernel, grid: RangeGrid, lines
-) -> np.ndarray:
-    """d(profile)/d(slots) for a stack of sight lines: complex (K, m, P)."""
-    lmat = _as_line_stack(lines)
-    bins = grid.bins
-    n_aspect = lmat.shape[0]
-    out = np.zeros((n_aspect, grid.m, model.n_params), dtype=complex)
-    k4 = 4.0 * np.pi * wf.fc / C_LIGHT
-    for idx, (s, sl) in enumerate(zip(model.scatterers, model.slot_slices())):
-        pl = _scatterer_geometry(s, idx, lmat)
-        a = s.amplitude_model.value(lmat)
-        gamma = np.exp(1j * k4 * pl)
-        tau = 2.0 * (bins[None, :] + pl[:, None]) / C_LIGHT
-        r = wf.autocorr(tau)
-        na = s.amplitude_model.n_slots
-        block = out[:, :, sl]
-        if na:
-            a_grad = s.amplitude_model.gradient(lmat)
-            block[:, :, :na] = gamma[:, None, None] * r[:, :, None] * a_grad[None, None, :]
-        npos = s.position_model.n_slots
-        if npos:
-            u = np.einsum("kij,ki->kj", s.position_model.jacobians(lmat), lmat)
-            radial = a * gamma[:, None] * (1j * k4 * r + (2.0 / C_LIGHT) * wf.autocorr_deriv(tau))
-            block[:, :, na:] = radial[:, :, None] * u[:, None, :]
-    return out
+) -> tuple[np.ndarray, np.ndarray]:
+    """Profiles (K, m) and d(profile)/d(slots) (K, m, P) for a stack of sight lines.
+
+    The profiles are bit-identical to ``synthesize_profiles``.
+    """
+    return _forward(model, wf, grid, lines, jacobian=True)
 
 
 def profile_jacobian(
     model: PointScatteringModel, wf: WaveformKernel, grid: RangeGrid, line: SightLine
-) -> ProfileJacobian:
-    """Jacobian for a single sight line, bins by slots."""
-    return ProfileJacobian(profile_jacobians(model, wf, grid, line)[0])
-
-
-def frequency_response(model: PointScatteringModel, freqs, line: SightLine) -> np.ndarray:
-    """Idealized response sum_n a_n exp(j*4*pi*f*(p_n.l)/c) at the given frequencies."""
-    f = np.atleast_1d(np.asarray(freqs, dtype=float))
-    lmat = line.vec[None, :]
-    out = np.zeros(f.shape, dtype=complex)
-    for i, s in enumerate(model.scatterers):
-        pl = _scatterer_geometry(s, i, lmat)[0]
-        out += s.amplitude_model.value(lmat) * np.exp(1j * 4.0 * np.pi * f * pl / C_LIGHT)
-    return out
+) -> np.ndarray:
+    """Jacobian for a single sight line, complex (m, P): bins by slots."""
+    return profile_jacobians(model, wf, grid, line)[1][0]

@@ -265,15 +265,3 @@ class Scatterer:
 
     def position(self, line: SightLine) -> Position3:
         return Position3(self.position_model.positions(line.vec[None, :])[0])
-
-    def amplitude_gradient(self, line: SightLine) -> np.ndarray:
-        """d(amplitude)/d(all slots), zeros in the position columns."""
-        out = np.zeros(self.n_slots, dtype=complex)
-        out[: self.amplitude_model.n_slots] = self.amplitude_model.gradient(line.vec[None, :])
-        return out
-
-    def position_jacobian(self, line: SightLine) -> np.ndarray:
-        """d(position)/d(all slots), (3, n_slots), zeros in the amplitude columns."""
-        out = np.zeros((3, self.n_slots))
-        out[:, self.amplitude_model.n_slots :] = self.position_model.jacobians(line.vec[None, :])[0]
-        return out

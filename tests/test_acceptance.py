@@ -89,7 +89,7 @@ def test_gradient_fidelity(capsys):
         live = mags >= 10.0 * clamp
         diag = np.full(grid.m, base.scale) if base.kind == "scalar" else base.diag
         w_masked = WeightMatrix.diagonal(np.where(live, diag, 0.0))
-        jac = profile_jacobian(eval_model, wf, grid, line).matrix
+        jac = profile_jacobian(eval_model, wf, grid, line)
 
         got_c = coherent_loss_gradient(z, g, jac, base)
         fd_c = fd_gradient(
@@ -228,7 +228,7 @@ def test_loss_landscape_periodicity(capsys):
         theta[j] += off
         m = truth.unpack(theta)
         g = synthesize_profile(m, wf, grid, line).samples
-        jac = profile_jacobian(m, wf, grid, line).matrix
+        jac = profile_jacobian(m, wf, grid, line)
         coh_grad[i] = coherent_loss_gradient(z, g, jac, w)[j]
         non_loss[i] = noncoherent_loss(z, g, w)
 

@@ -19,7 +19,6 @@ from scatterfit import (
     synthesize_profile,
     synthesize_profiles,
 )
-from scatterfit.loss import amplitude_vector
 from conftest import fd_gradient, reference_truth, random_line, random_model, rel_err
 
 M = 12
@@ -52,11 +51,6 @@ def weight_cases(rng, m):
         WeightMatrix.diagonal(rng.uniform(0.2, 2.0, size=m)),
         WeightMatrix.from_dense(dense),
     ]
-
-
-def test_amplitude_vector(rng):
-    z = rng.normal(size=M) + 1j * rng.normal(size=M)
-    assert np.array_equal(amplitude_vector(z), np.abs(z))
 
 
 def test_losses_match_naive_quadratic_form(rng):
@@ -94,7 +88,7 @@ def test_gradients_match_finite_differences(wf_unit, rng):
     # keep the modulus kink far away so central differences stay clean
     assert np.min(np.abs(g)) > 1e-3 * wf_unit.peak
     z = g + 0.05 * (rng.normal(size=grid.m) + 1j * rng.normal(size=grid.m))
-    jac = profile_jacobian(model, wf_unit, grid, line).matrix
+    jac = profile_jacobian(model, wf_unit, grid, line)
     for w in weight_cases(rng, grid.m):
         got = coherent_loss_gradient(z, g, jac, w)
 

@@ -1,0 +1,135 @@
+"""Invariants of the one forward pass and the stack-aware losses, over random inputs."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from scatterfit import (
+    FixedAmplitude,
+    FixedCylindrical,
+    Observation,
+    PointScatteringModel,
+    RangeGrid,
+    Scatterer,
+    SlippingRing,
+    Spherical,
+    WeightMatrix,
+    batch_gradient,
+    batch_loss,
+    coherent_loss,
+    coherent_loss_gradient,
+    noncoherent_clamp,
+    noncoherent_loss,
+    noncoherent_loss_gradient,
+    profile_jacobians,
+    sightline_from_angles,
+    synthesize_profiles,
+)
+from conftest import POSITION_KINDS
+
+PROPERTY = settings(max_examples=60, deadline=None)
+
+
+def _real(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def scatterers(draw):
+    amp = FixedAmplitude(draw(_real(0.3, 2.0)), draw(_real(-1.0, 1.0)))
+    kind = draw(st.sampled_from(POSITION_KINDS))
+    if kind == "fixed_cylindrical":
+        pos = FixedCylindrical(draw(_real(0.0, 1.5)), draw(_real(-np.pi, np.pi)), draw(_real(-2.0, 2.0)))
+    elif kind == "slipping":
+        pos = SlippingRing(draw(_real(0.0, 1.5)), draw(_real(-2.0, 2.0)))
+    else:
+        pos = Spherical(draw(_real(0.0, 2.0)))
+    return Scatterer(amp, pos)
+
+
+models = st.lists(scatterers(), min_size=1, max_size=4).map(lambda s: PointScatteringModel(tuple(s)))
+# elevations below 1.3 rad keep the slipping-ring azimuth well posed
+sightlines = st.builds(sightline_from_angles, _real(0.0, 2.0 * np.pi), _real(-1.3, 1.3))
+line_stacks = st.lists(sightlines, min_size=1, max_size=6)
+bin_counts = st.integers(1, 80)
+
+
+def grids(m):
+    return st.builds(RangeGrid, _real(-6.0, -1.0), _real(0.05, 0.3), st.just(m))
+
+
+@st.composite
+def weights(draw, m):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(("identity", "sigma2", "diagonal", "dense")))
+    if kind == "identity":
+        return WeightMatrix.identity()
+    if kind == "sigma2":
+        return WeightMatrix.from_sigma2(draw(_real(1e-3, 10.0)))
+    if kind == "diagonal":
+        return WeightMatrix.diagonal(rng.uniform(0.2, 2.0, size=m))
+    a = rng.normal(size=(m, m))
+    dense = (a @ a.T) / m + 0.5 * np.eye(m)
+    return WeightMatrix.from_dense((dense + dense.T) / 2.0)
+
+
+def _sums_to(total, parts) -> bool:
+    """total == sum(parts) to 1e-12 of the largest part, so cancellation between
+    aspects does not inflate rounding into a failure."""
+    scale = max(float(np.max(np.abs(p), initial=0.0)) for p in parts)
+    return float(np.max(np.abs(total - sum(parts)), initial=0.0)) <= 1e-12 * max(scale, np.finfo(float).tiny)
+
+
+def _noisy(rng, g, scale=0.05):
+    return g + scale * (rng.normal(size=g.shape) + 1j * rng.normal(size=g.shape))
+
+
+@PROPERTY
+@given(models, line_stacks, bin_counts.flatmap(grids))
+def test_jacobian_pass_profiles_equal_synthesis(wf_unit, model, lines, grid):
+    lmat = np.stack([l.vec for l in lines])
+    g, jac = profile_jacobians(model, wf_unit, grid, lmat)
+    assert np.array_equal(g, synthesize_profiles(model, wf_unit, grid, lmat))
+    assert jac.shape == (len(lines), grid.m, model.n_params)
+
+
+@PROPERTY
+@given(models, line_stacks, bin_counts.flatmap(lambda m: st.tuples(grids(m), weights(m))), st.integers(0, 2**32 - 1))
+def test_stacked_losses_are_sums_of_rows(wf_unit, model, lines, grid_w, seed):
+    grid, w = grid_w
+    g, jac = profile_jacobians(model, wf_unit, grid, np.stack([l.vec for l in lines]))
+    z = _noisy(np.random.default_rng(seed), g)
+    clamp = noncoherent_clamp(wf_unit)
+    rows = range(len(lines))
+    for loss in (coherent_loss, noncoherent_loss):
+        assert loss(z, g, w) == pytest.approx(sum(loss(z[k], g[k], w) for k in rows), rel=1e-12)
+    assert _sums_to(
+        coherent_loss_gradient(z, g, jac, w),
+        [coherent_loss_gradient(z[k], g[k], jac[k], w) for k in rows],
+    )
+    assert _sums_to(
+        noncoherent_loss_gradient(z, g, jac, w, clamp),
+        [noncoherent_loss_gradient(z[k], g[k], jac[k], w, clamp) for k in rows],
+    )
+
+
+@PROPERTY
+@given(
+    models,
+    line_stacks,
+    bin_counts.flatmap(lambda m: st.lists(grids(m), min_size=2, max_size=3)),
+    st.integers(0, 2**32 - 1),
+)
+def test_mixed_grid_batch_is_sum_of_singles(wf_unit, model, lines, grid_set, seed):
+    rng = np.random.default_rng(seed)
+    obs = []
+    for k, line in enumerate(lines):
+        grid = grid_set[k % len(grid_set)]  # interleave the grids
+        obs.append(Observation(_noisy(rng, synthesize_profiles(model, wf_unit, grid, line)[0]), line, grid))
+    guess = model.unpack(model.pack() + 0.01)
+    w = WeightMatrix.identity()
+    for kind in ("coherent", "noncoherent"):
+        total = batch_loss(obs, guess, wf_unit, w, kind)
+        assert total == pytest.approx(sum(batch_loss([o], guess, wf_unit, w, kind) for o in obs), rel=1e-12)
+        gtotal = batch_gradient(obs, guess, wf_unit, w, kind)
+        assert _sums_to(gtotal, [batch_gradient([o], guess, wf_unit, w, kind) for o in obs])
