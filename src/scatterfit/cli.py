@@ -113,35 +113,28 @@ def _as_str(value, path, choices=None):
     return value
 
 
-_POSITION_FIELDS = {
-    "fixed_cylindrical": ("r_s", "phi_s", "z_s"),
-    "slipping": ("r_s", "z_s"),
-    "spherical": ("rho_s",),
+# config type name -> primitive class, per scatterer part; a primitive's
+# config fields are its slot_names
+_PRIMITIVE_TYPES = {
+    "amplitude": {"fixed": FixedAmplitude},
+    "position": {"fixed_cylindrical": FixedCylindrical, "slipping": SlippingRing, "spherical": Spherical},
 }
+
+
+def _resolve_primitive(node, path, types):
+    node = _require_map(node, path)
+    kind = _as_str(_pop(node, "type", path, required=True), f"{path}.type", set(types))
+    fields = types[kind].slot_names
+    _check_keys(node, path, {"type", *fields})
+    return {"type": kind, **{f: _as_float(_pop(node, f, path, required=True), f"{path}.{f}") for f in fields}}
 
 
 def _resolve_scatterer(node, path):
     node = _require_map(node, path)
-    _check_keys(node, path, {"description", "amplitude", "position"})
-    amp = _require_map(_pop(node, "amplitude", path, required=True), f"{path}.amplitude")
-    _check_keys(amp, f"{path}.amplitude", {"type", "s_re", "s_im"})
-    _as_str(_pop(amp, "type", f"{path}.amplitude", required=True), f"{path}.amplitude.type", {"fixed"})
-    s_re = _as_float(_pop(amp, "s_re", f"{path}.amplitude", required=True), f"{path}.amplitude.s_re")
-    s_im = _as_float(_pop(amp, "s_im", f"{path}.amplitude", required=True), f"{path}.amplitude.s_im")
-
-    pos = _require_map(_pop(node, "position", path, required=True), f"{path}.position")
-    kind = _as_str(
-        _pop(pos, "type", f"{path}.position", required=True),
-        f"{path}.position.type",
-        set(_POSITION_FIELDS),
-    )
-    fields = _POSITION_FIELDS[kind]
-    _check_keys(pos, f"{path}.position", {"type", *fields})
-    values = {f: _as_float(_pop(pos, f, f"{path}.position", required=True), f"{path}.position.{f}") for f in fields}
-
+    _check_keys(node, path, {"description", *_PRIMITIVE_TYPES})
     resolved = {
-        "amplitude": {"type": "fixed", "s_re": s_re, "s_im": s_im},
-        "position": {"type": kind, **values},
+        part: _resolve_primitive(_pop(node, part, path, required=True), f"{path}.{part}", types)
+        for part, types in _PRIMITIVE_TYPES.items()
     }
     if "description" in node:
         resolved["description"] = _as_str(node["description"], f"{path}.description")
@@ -149,19 +142,16 @@ def _resolve_scatterer(node, path):
 
 
 def _build_scatterer(resolved, path):
-    pos = resolved["position"]
-    amp = FixedAmplitude(resolved["amplitude"]["s_re"], resolved["amplitude"]["s_im"])
-    try:
-        if pos["type"] == "fixed_cylindrical":
-            s = Scatterer(amp, FixedCylindrical(pos["r_s"], pos["phi_s"], pos["z_s"]))
-        elif pos["type"] == "slipping":
-            s = Scatterer(amp, SlippingRing(pos["r_s"], pos["z_s"]))
-        else:
-            s = Scatterer(amp, Spherical(pos["rho_s"]))
-        s.validate()
-    except ValueError as exc:
-        raise ConfigError(f"{path}.position", str(exc)) from exc
-    return s
+    parts = {}
+    for part, types in _PRIMITIVE_TYPES.items():
+        block = resolved[part]
+        cls = types[block["type"]]
+        parts[part] = cls(*(block[f] for f in cls.slot_names))
+        try:
+            parts[part].validate()
+        except ValueError as exc:
+            raise ConfigError(f"{path}.{part}", str(exc)) from exc
+    return Scatterer(parts["amplitude"], parts["position"])
 
 
 def _resolve_model(node, path):
@@ -418,20 +408,19 @@ def _load_config(path: str, need_fit: bool, seed_override: int | None) -> dict:
     return resolve_config(raw, need_fit=need_fit, seed_override=seed_override)
 
 
-def _synthesize(cfg) -> tuple[StaticPattern, np.ndarray, RangeGrid, list[SightLine], LfmWaveform]:
+def _synthesize(cfg) -> tuple[StaticPattern, RangeGrid, list[SightLine], LfmWaveform]:
     wf = build_waveform(cfg)
     grid = build_grid(cfg)
-    model = build_model(cfg["scatterers"])
     lines = build_sightlines(cfg)
     spec = NoiseSpec(cfg["noise"]["sigma2"], cfg["noise"]["seed"])
-    pattern = synthesize_pattern(model, wf, grid, lines, spec)
-    clean = synthesize_profiles(model, wf, grid, np.stack([l.vec for l in lines]))
-    return pattern, clean, grid, lines, wf
+    pattern = synthesize_pattern(build_model(cfg["scatterers"]), wf, grid, lines, spec)
+    return pattern, grid, lines, wf
 
 
 def cmd_synth(cfg, out_dir: str, quiet: bool) -> int:
-    pattern, clean, grid, lines, _ = _synthesize(cfg)
+    pattern, grid, lines, wf = _synthesize(cfg)
     noisy = np.stack([o.z for o in pattern.observations])
+    clean = synthesize_profiles(build_model(cfg["scatterers"]), wf, grid, np.stack([l.vec for l in lines]))
     multi = len(lines) > 1
     _write(out_dir, "profile_noisy.csv", profile_csv(noisy if multi else noisy[0], grid, multi), quiet)
     _write(out_dir, "profile_clean.csv", profile_csv(clean if multi else clean[0], grid, multi), quiet)
@@ -469,7 +458,7 @@ def cmd_sweep_loss(cfg, out_dir: str, quiet: bool, scatterer: int, slot: str, ra
         raise ConfigError("--slot", f"scatterer {scatterer} has no slot {slot!r} (has: {', '.join(names)})")
     j = model.slot_labels().index(f"s{scatterer}.{slot}")
 
-    pattern, _, grid, lines, wf = _synthesize(cfg)
+    pattern, grid, lines, wf = _synthesize(cfg)
     zs = np.stack([o.z for o in pattern.observations])
     lmat = np.stack([l.vec for l in lines])
     w = WeightMatrix.identity()
@@ -509,7 +498,7 @@ def _fit_report_json(report: FitReport, model: PointScatteringModel, strategy: s
 
 
 def cmd_fit(cfg, out_dir: str, quiet: bool) -> int:
-    pattern, _, grid, lines, wf = _synthesize(cfg)
+    pattern, grid, lines, wf = _synthesize(cfg)
     fit_cfg = cfg["fit"]
     model0 = build_model(fit_cfg["initial_model"])
     descent = build_descent(fit_cfg["descent"])
@@ -532,9 +521,8 @@ def cmd_fit(cfg, out_dir: str, quiet: bool) -> int:
         rows.append(f"{i},{_fmt(value)},{phase}")
     _write(out_dir, "loss_trace.csv", "\n".join(rows) + "\n", quiet)
 
-    fitted = synthesize_profiles(report.model, wf, grid, np.stack([l.vec for l in lines]))
-    residual = np.stack([o.z for o in pattern.observations]) - fitted
     multi = len(lines) > 1
+    residual = report.residual
     _write(out_dir, "residual.csv", profile_csv(residual if multi else residual[0], grid, multi), quiet)
     _write_echo(out_dir, cfg, quiet)
     if not quiet:

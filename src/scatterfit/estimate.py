@@ -63,7 +63,7 @@ class FitReport:
     status: str  # "converged" | "max_iters" | "stalled"
     loss_trace: tuple[tuple[int, float], ...]
     grad_norm_trace: tuple[float, ...]
-    residual_power: np.ndarray  # (aspects, bins) |z - g|^2
+    residual: np.ndarray  # (aspects, bins) complex z - g at the fitted model
     iterations: int
     phase_boundary: int | None = None  # trace index where the coherent phase starts
 
@@ -74,6 +74,11 @@ class FitReport:
     @property
     def losses(self) -> np.ndarray:
         return np.array([v for _, v in self.loss_trace])
+
+    @property
+    def residual_power(self) -> np.ndarray:
+        """(aspects, bins) |z - g|^2."""
+        return np.abs(self.residual) ** 2
 
     @property
     def residual_power_per_bin(self) -> np.ndarray:
@@ -151,11 +156,9 @@ def _as_observations(data) -> list[Observation]:
     return list(data)
 
 
-def _residual_power(
-    obs: list[Observation], model: PointScatteringModel, wf: WaveformKernel
-) -> np.ndarray:
+def _residual(obs: list[Observation], model: PointScatteringModel, wf: WaveformKernel) -> np.ndarray:
     zmat, gmat, _ = _stacked(obs, model, wf)
-    return np.abs(zmat - gmat) ** 2
+    return zmat - gmat
 
 
 def gradient_descent(
@@ -221,7 +224,7 @@ def gradient_descent(
         status=status,
         loss_trace=tuple(enumerate(losses)),
         grad_norm_trace=tuple(gnorms),
-        residual_power=_residual_power(obs, fitted, wf),
+        residual=_residual(obs, fitted, wf),
         iterations=iterations,
     )
 
@@ -252,7 +255,7 @@ def sequential_fit(
         status=fine.status,
         loss_trace=tuple(enumerate(merged)),
         grad_norm_trace=rough.grad_norm_trace + fine.grad_norm_trace,
-        residual_power=fine.residual_power,
+        residual=fine.residual,
         iterations=rough.iterations + fine.iterations,
         phase_boundary=len(rough.loss_trace),
     )

@@ -60,10 +60,6 @@ class WeightMatrix:
         return cls("scalar", 1.0)
 
     @classmethod
-    def scaled_identity(cls, scale: float) -> "WeightMatrix":
-        return cls("scalar", scale)
-
-    @classmethod
     def from_sigma2(cls, sigma2: float) -> "WeightMatrix":
         """Inverse-noise-power weighting, the default when sigma^2 is known."""
         if sigma2 <= 0.0:

@@ -22,8 +22,12 @@ from .geometry import DegenerateGeometryError, Position3, SightLine
 _MIN_XY = 1e-12
 
 
-class AmplitudeModel(ABC):
-    """Complex scattering amplitude and its gradient w.r.t. its own slots."""
+class _SlotModel(ABC):
+    """A primitive whose slots are its dataclass fields, in ``slot_names`` order.
+
+    Concrete models are frozen dataclasses; everything that reads or rebuilds
+    the slot vector works from ``slot_names`` alone.
+    """
 
     slot_names: tuple[str, ...] = ()
 
@@ -32,11 +36,25 @@ class AmplitudeModel(ABC):
         return len(self.slot_names)
 
     @property
-    @abstractmethod
-    def params(self) -> tuple[float, ...]: ...
+    def params(self) -> tuple[float, ...]:
+        return tuple(getattr(self, name) for name in self.slot_names)
 
-    @abstractmethod
-    def with_params(self, values) -> "AmplitudeModel": ...
+    def with_params(self, values) -> "_SlotModel":
+        """Same model type with new slot values, stored as Python floats."""
+        return type(self)(*np.asarray(values, dtype=float).tolist())
+
+    def validate(self) -> None:
+        if not all(np.isfinite(self.params)):
+            raise ValueError(f"non-finite {type(self).__name__} parameters {self.params}")
+
+
+def _check_radius(value: float, what: str) -> None:
+    if value < 0.0:
+        raise ValueError(f"{what} radius must be >= 0, got {value}")
+
+
+class AmplitudeModel(_SlotModel):
+    """Complex scattering amplitude and its gradient w.r.t. its own slots."""
 
     @abstractmethod
     def value(self, lines=None) -> complex:
@@ -46,26 +64,9 @@ class AmplitudeModel(ABC):
     def gradient(self, lines=None) -> np.ndarray:
         """d(amplitude)/d(slots), complex, shape (n_slots,)."""
 
-    def validate(self) -> None:
-        if not all(np.isfinite(self.params)):
-            raise ValueError(f"non-finite amplitude parameters {self.params}")
 
-
-class PositionModel(ABC):
+class PositionModel(_SlotModel):
     """Aspect-dependent scatterer position and its slot Jacobian."""
-
-    slot_names: tuple[str, ...] = ()
-
-    @property
-    def n_slots(self) -> int:
-        return len(self.slot_names)
-
-    @property
-    @abstractmethod
-    def params(self) -> tuple[float, ...]: ...
-
-    @abstractmethod
-    def with_params(self, values) -> "PositionModel": ...
 
     @abstractmethod
     def positions(self, lines: np.ndarray) -> np.ndarray:
@@ -74,10 +75,6 @@ class PositionModel(ABC):
     @abstractmethod
     def jacobians(self, lines: np.ndarray) -> np.ndarray:
         """d(position)/d(slots) for stack (K, 3) -> (K, 3, n_slots)."""
-
-    def validate(self) -> None:
-        if not all(np.isfinite(self.params)):
-            raise ValueError(f"non-finite position parameters {self.params}")
 
 
 @dataclass(frozen=True)
@@ -88,13 +85,6 @@ class FixedAmplitude(AmplitudeModel):
     s_im: float = 0.0
 
     slot_names = ("s_re", "s_im")
-
-    @property
-    def params(self) -> tuple[float, ...]:
-        return (self.s_re, self.s_im)
-
-    def with_params(self, values) -> "FixedAmplitude":
-        return FixedAmplitude(float(values[0]), float(values[1]))
 
     def value(self, lines=None) -> complex:
         return complex(self.s_re, self.s_im)
@@ -113,13 +103,6 @@ class FixedCylindrical(PositionModel):
 
     slot_names = ("r_s", "phi_s", "z_s")
 
-    @property
-    def params(self) -> tuple[float, ...]:
-        return (self.r_s, self.phi_s, self.z_s)
-
-    def with_params(self, values) -> "FixedCylindrical":
-        return FixedCylindrical(float(values[0]), float(values[1]), float(values[2]))
-
     def positions(self, lines: np.ndarray) -> np.ndarray:
         p = np.array([self.r_s * np.cos(self.phi_s), self.r_s * np.sin(self.phi_s), self.z_s])
         return np.broadcast_to(p, (lines.shape[0], 3))
@@ -135,8 +118,7 @@ class FixedCylindrical(PositionModel):
 
     def validate(self) -> None:
         super().validate()
-        if self.r_s < 0.0:
-            raise ValueError(f"ring radius must be >= 0, got {self.r_s}")
+        _check_radius(self.r_s, "ring")
 
 
 @dataclass(frozen=True)
@@ -153,19 +135,13 @@ class SlippingRing(PositionModel):
 
     slot_names = ("r_s", "z_s")
 
-    @property
-    def params(self) -> tuple[float, ...]:
-        return (self.r_s, self.z_s)
-
-    def with_params(self, values) -> "SlippingRing":
-        return SlippingRing(float(values[0]), float(values[1]))
-
     def _ring_direction(self, lines: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         lx, ly = lines[:, 0], lines[:, 1]
         h = np.hypot(lx, ly)
-        if np.any(h < _MIN_XY):
+        bad = np.flatnonzero(h < _MIN_XY)
+        if bad.size:
             raise DegenerateGeometryError(
-                "slipping ring azimuth is undefined for a sight line along the ring axis"
+                f"aspect {bad[0]}: slipping ring azimuth is undefined for a sight line along the ring axis"
             )
         return lx / h, ly / h
 
@@ -187,8 +163,7 @@ class SlippingRing(PositionModel):
 
     def validate(self) -> None:
         super().validate()
-        if self.r_s < 0.0:
-            raise ValueError(f"ring radius must be >= 0, got {self.r_s}")
+        _check_radius(self.r_s, "ring")
 
 
 @dataclass(frozen=True)
@@ -203,13 +178,6 @@ class Spherical(PositionModel):
 
     slot_names = ("rho_s",)
 
-    @property
-    def params(self) -> tuple[float, ...]:
-        return (self.rho_s,)
-
-    def with_params(self, values) -> "Spherical":
-        return Spherical(float(values[0]))
-
     def positions(self, lines: np.ndarray) -> np.ndarray:
         return -self.rho_s * lines
 
@@ -218,8 +186,7 @@ class Spherical(PositionModel):
 
     def validate(self) -> None:
         super().validate()
-        if self.rho_s < 0.0:
-            raise ValueError(f"sphere radius must be >= 0, got {self.rho_s}")
+        _check_radius(self.rho_s, "sphere")
 
 
 @dataclass(frozen=True)
@@ -258,10 +225,7 @@ class Scatterer:
         self.amplitude_model.validate()
         self.position_model.validate()
 
-    # single-aspect conveniences; batch paths call the models directly
-
-    def amplitude(self, line: SightLine) -> complex:
-        return self.amplitude_model.value(line.vec[None, :])
+    # single-aspect convenience; batch paths call the models directly
 
     def position(self, line: SightLine) -> Position3:
         return Position3(self.position_model.positions(line.vec[None, :])[0])

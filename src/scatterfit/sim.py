@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import DegenerateGeometryError, SightLine
+from .geometry import SightLine
 from .loss import Observation
 from .model import PointScatteringModel, RangeGrid, RangeProfile, synthesize_profiles
 from .waveform import WaveformKernel
@@ -77,16 +77,7 @@ def synthesize_pattern(
     """Noisy profiles for every sight line, with per-aspect noise substreams."""
     line_objs = [l if isinstance(l, SightLine) else SightLine(np.asarray(l, dtype=float)) for l in lines]
     lmat = np.stack([l.vec for l in line_objs])
-    try:
-        gmat = synthesize_profiles(model, wf, grid, lmat)
-    except DegenerateGeometryError:
-        # re-run per aspect so the error names the offending sight line
-        for i, l in enumerate(line_objs):
-            try:
-                synthesize_profiles(model, wf, grid, l)
-            except DegenerateGeometryError as err:
-                raise DegenerateGeometryError(f"aspect {i}: {err}") from None
-        raise
+    gmat = synthesize_profiles(model, wf, grid, lmat)
     obs = tuple(
         Observation(gmat[i] + _noise(_substream(spec.seed, i), spec.sigma2, grid.m), line_objs[i], grid)
         for i in range(len(line_objs))

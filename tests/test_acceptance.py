@@ -2,8 +2,9 @@
 
 Each test checks one end-to-end scenario at its stated tolerance and prints a
 single PASS/FAIL line (bypassing capture) with the measured numbers, so a full
-run reads as a scorecard.  Scenario constants are frozen; see notes on the
-carrier-frequency choices in the repository docs.
+run reads as a scorecard.  Scenario constants are frozen; README.md ("Tests
+and the acceptance gate") lists each scenario's carrier frequency and its
+quarter wavelength.
 """
 
 import time

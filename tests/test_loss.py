@@ -214,7 +214,8 @@ def test_batch_additivity(wf_unit, rng):
 
 
 def test_batch_mixed_grids(wf_unit, rng):
-    # different bin counts force the per-observation path; sums still add up
+    # two grids (same bin count, different offsets and spacings) make two model
+    # calls inside one batch; the sums still add up
     model = reference_truth()
     g1 = RangeGrid(-3.0, 0.2, 23)
     g2 = RangeGrid(-2.5, 0.15, 23)

@@ -98,7 +98,7 @@ def test_profile_peaks_near_projected_ranges(wf_unit, grid_mid):
         r = projected_range(s.position(line), line)
         idx = int(np.argmin(np.abs(bins - r)))
         window = g[max(idx - 1, 0) : idx + 2]
-        assert window.max() >= 0.6 * abs(s.amplitude(line)) * wf_unit.peak
+        assert window.max() >= 0.6 * abs(s.amplitude_model.value()) * wf_unit.peak
 
 
 def test_multi_aspect_stack_matches_single(wf_unit, grid_mid, rng):

@@ -1,5 +1,7 @@
 """Scattering-center models: slots, positions, and their derivatives."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,9 @@ def test_slot_layouts():
     s = Scatterer(FixedAmplitude(1.0, 0.5), FixedCylindrical(1.0, 0.2, 0.3))
     assert s.slot_names == ("s_re", "s_im", "r_s", "phi_s", "z_s")
     assert s.n_slots == 5
+    # the shared slot plumbing reads a primitive's dataclass fields as its slots
+    for cls in (FixedAmplitude, FixedCylindrical, SlippingRing, Spherical):
+        assert cls.slot_names == tuple(f.name for f in dataclasses.fields(cls))
 
 
 def test_params_round_trip(rng):
@@ -34,6 +39,9 @@ def test_params_round_trip(rng):
         s2 = s.with_params(values)
         assert np.array_equal(s2.params, values)
         assert type(s2.position_model) is type(s.position_model)
+        # a numpy slice goes in, Python floats are stored
+        for model in (s2.amplitude_model, s2.position_model):
+            assert all(type(v) is float for v in model.params)
 
 
 def test_with_params_shape_check():
@@ -56,7 +64,7 @@ def test_validate_rejects_negative_radii():
 def test_amplitude_value_and_gradient(rng):
     line = random_line(rng)
     s = Scatterer(FixedAmplitude(1.3, -0.7), Spherical(1.0))
-    assert s.amplitude(line) == complex(1.3, -0.7)
+    assert s.amplitude_model.value() == complex(1.3, -0.7)
     grad = s.amplitude_model.gradient(line.vec[None, :])
     assert np.array_equal(grad, [1.0 + 0.0j, 0.0 + 1.0j])
 

@@ -7,13 +7,17 @@ from scatterfit import (
     DegenerateGeometryError,
     FixedAmplitude,
     NoiseSpec,
+    Observation,
     PointScatteringModel,
     RangeGrid,
     Scatterer,
     SightLine,
     SlippingRing,
     Spherical,
+    WeightMatrix,
     add_noise,
+    batch_loss,
+    crlb,
     sightline_from_angles,
     sweep_sightlines,
     synthesize_pattern,
@@ -127,6 +131,12 @@ def test_pattern_names_degenerate_aspect(wf_unit, grid_mid):
     lines = [sightline_from_angles(0.0, 0.0), SightLine(np.array([0.0, 0.0, 1.0]))]
     with pytest.raises(DegenerateGeometryError, match="aspect 1"):
         synthesize_pattern(model, wf_unit, grid_mid, lines, NoiseSpec(0.0))
+    # the batch loss and the bound name the same aspect
+    with pytest.raises(DegenerateGeometryError, match="aspect 1"):
+        crlb(model, wf_unit, grid_mid, lines, 0.01)
+    obs = [Observation(np.zeros(grid_mid.m, dtype=complex), line, grid_mid) for line in lines]
+    with pytest.raises(DegenerateGeometryError, match="aspect 1"):
+        batch_loss(obs, model, wf_unit, WeightMatrix.identity(), "coherent")
 
 
 def test_pattern_sightlines_property(wf_unit, grid_mid):
