@@ -24,10 +24,7 @@ from .scatterer import (
 from .model import (
     PointScatteringModel,
     RangeGrid,
-    RangeProfile,
-    profile_jacobian,
     profile_jacobians,
-    synthesize_profile,
     synthesize_profiles,
 )
 from .loss import (
@@ -44,7 +41,6 @@ from .loss import (
 from .estimate import (
     CrlbResult,
     DescentConfig,
-    FisherInfo,
     FitReport,
     LineSearchConfig,
     crlb,
@@ -54,7 +50,7 @@ from .estimate import (
     line_search,
     sequential_fit,
 )
-from .sim import NoiseSpec, StaticPattern, add_noise, sweep_sightlines, synthesize_pattern
+from .sim import NoiseSpec, StaticPattern, sweep_sightlines, synthesize_pattern
 
 __version__ = "0.1.0"
 
@@ -64,7 +60,6 @@ __all__ = [
     "CrlbResult",
     "DegenerateGeometryError",
     "DescentConfig",
-    "FisherInfo",
     "FitReport",
     "FixedAmplitude",
     "FixedCylindrical",
@@ -76,7 +71,6 @@ __all__ = [
     "Position3",
     "PositionModel",
     "RangeGrid",
-    "RangeProfile",
     "Scatterer",
     "SightLine",
     "SlippingRing",
@@ -84,7 +78,6 @@ __all__ = [
     "StaticPattern",
     "WaveformKernel",
     "WeightMatrix",
-    "add_noise",
     "batch_gradient",
     "batch_loss",
     "cartesian_to_cylindrical",
@@ -100,14 +93,12 @@ __all__ = [
     "noncoherent_clamp",
     "noncoherent_loss",
     "noncoherent_loss_gradient",
-    "profile_jacobian",
     "profile_jacobians",
     "projected_range",
     "sequential_fit",
     "sightline_from_angles",
     "sightline_from_points",
     "synthesize_pattern",
-    "synthesize_profile",
     "synthesize_profiles",
     "sweep_sightlines",
 ]

@@ -269,24 +269,29 @@ def resolve_config(raw: dict, need_fit: bool = False, seed_override: int | None 
             "weight": weight,
             "initial_model": initial,
             "descent": {
-                "max_iters": _as_int(_pop(descent, "max_iters", "fit.descent", default=500), "fit.descent.max_iters", 1),
+                "max_iters": _as_int(
+                    _pop(descent, "max_iters", "fit.descent", default=DescentConfig.max_iters),
+                    "fit.descent.max_iters", 1,
+                ),
                 "loss_rel_tol": _as_float(
-                    _pop(descent, "loss_rel_tol", "fit.descent", default=1e-8), "fit.descent.loss_rel_tol", 0.0
+                    _pop(descent, "loss_rel_tol", "fit.descent", default=DescentConfig.loss_rel_tol),
+                    "fit.descent.loss_rel_tol", 0.0,
                 ),
                 "grad_norm_tol": _as_float(
-                    _pop(descent, "grad_norm_tol", "fit.descent", default=1e-9), "fit.descent.grad_norm_tol", 0.0
+                    _pop(descent, "grad_norm_tol", "fit.descent", default=DescentConfig.grad_norm_tol),
+                    "fit.descent.grad_norm_tol", 0.0,
                 ),
                 "line_search": {
                     "bracket_growth": _as_float(
-                        _pop(ls, "bracket_growth", "fit.descent.line_search", default=2.0),
+                        _pop(ls, "bracket_growth", "fit.descent.line_search", default=LineSearchConfig.bracket_growth),
                         "fit.descent.line_search.bracket_growth", 1.0, exclusive=True,
                     ),
                     "max_bracket_steps": _as_int(
-                        _pop(ls, "max_bracket_steps", "fit.descent.line_search", default=40),
+                        _pop(ls, "max_bracket_steps", "fit.descent.line_search", default=LineSearchConfig.max_bracket_steps),
                         "fit.descent.line_search.max_bracket_steps", 1,
                     ),
                     "section_tol": _as_float(
-                        _pop(ls, "section_tol", "fit.descent.line_search", default=1e-4),
+                        _pop(ls, "section_tol", "fit.descent.line_search", default=LineSearchConfig.section_tol),
                         "fit.descent.line_search.section_tol", 0.0, exclusive=True,
                     ),
                 },
@@ -420,7 +425,7 @@ def _synthesize(cfg) -> tuple[StaticPattern, RangeGrid, list[SightLine], LfmWave
 def cmd_synth(cfg, out_dir: str, quiet: bool) -> int:
     pattern, grid, lines, wf = _synthesize(cfg)
     noisy = np.stack([o.z for o in pattern.observations])
-    clean = synthesize_profiles(build_model(cfg["scatterers"]), wf, grid, np.stack([l.vec for l in lines]))
+    clean = synthesize_profiles(build_model(cfg["scatterers"]), wf, grid, lines)
     multi = len(lines) > 1
     _write(out_dir, "profile_noisy.csv", profile_csv(noisy if multi else noisy[0], grid, multi), quiet)
     _write(out_dir, "profile_clean.csv", profile_csv(clean if multi else clean[0], grid, multi), quiet)
@@ -460,7 +465,6 @@ def cmd_sweep_loss(cfg, out_dir: str, quiet: bool, scatterer: int, slot: str, ra
 
     pattern, grid, lines, wf = _synthesize(cfg)
     zs = np.stack([o.z for o in pattern.observations])
-    lmat = np.stack([l.vec for l in lines])
     w = WeightMatrix.identity()
     clamp = noncoherent_clamp(wf)
     theta0 = model.pack()
@@ -469,7 +473,7 @@ def cmd_sweep_loss(cfg, out_dir: str, quiet: bool, scatterer: int, slot: str, ra
     for off in offsets:
         theta = theta0.copy()
         theta[j] += off
-        g, jac = profile_jacobians(model.unpack(theta), wf, grid, lmat)
+        g, jac = profile_jacobians(model.unpack(theta), wf, grid, lines)
         cl = coherent_loss(zs, g, w)
         ncl = noncoherent_loss(zs, g, w)
         cg = coherent_loss_gradient(zs, g, jac, w)[j]

@@ -111,8 +111,14 @@ def _golden_section(f, lo: float, hi: float, tol: float, best: tuple[float, floa
     return best_x, best_f
 
 
-def _line_search(f, initial_step: float, cfg: LineSearchConfig) -> tuple[float, float, bool]:
-    """Returns (step, loss at step, stalled)."""
+def line_search(f, initial_step: float = 1.0, cfg: LineSearchConfig = LineSearchConfig()) -> tuple[float, float, bool]:
+    """Exact 1-D minimization of a loss along a ray.
+
+    Brackets a minimum by geometric growth from the initial step, shrinking
+    first if the initial step does not decrease f; then golden-sections the
+    bracket.  Returns (step, loss at step, stalled); stalled means no decrease
+    was found, the step is 0 and the loss is f(0).
+    """
     f0 = _finite(f(0.0))
     step = initial_step if np.isfinite(initial_step) and initial_step > 0.0 else 1.0
     fs = _finite(f(step))
@@ -136,21 +142,7 @@ def _line_search(f, initial_step: float, cfg: LineSearchConfig) -> tuple[float, 
     return _golden_section(f, lo, hi, cfg.section_tol, best=(mid, f_mid)) + (False,)
 
 
-def line_search(f, initial_step: float = 1.0, cfg: LineSearchConfig = LineSearchConfig()) -> tuple[float, bool]:
-    """Exact 1-D minimization of a loss along a ray.
-
-    Brackets a minimum by geometric growth from the initial step, shrinking
-    first if the initial step does not decrease f; then golden-sections the
-    bracket.  Returns (step, stalled); stalled means no decrease was found
-    and the step is 0.
-    """
-    eta, _, stalled = _line_search(f, initial_step, cfg)
-    return eta, stalled
-
-
 def _as_observations(data) -> list[Observation]:
-    if isinstance(data, Observation):
-        return [data]
     if hasattr(data, "observations"):
         return list(data.observations)
     return list(data)
@@ -197,7 +189,7 @@ def gradient_descent(
         if gnorm <= cfg.grad_norm_tol * gnorm0:
             status = "converged"
             break
-        eta, stepped_loss, stalled = _line_search(
+        eta, stepped_loss, stalled = line_search(
             lambda s: loss_at(theta - s * grad),
             0.1 * current / gnorm**2,
             cfg.line_search,
@@ -261,15 +253,8 @@ def sequential_fit(
     )
 
 
-@dataclass(frozen=True)
-class FisherInfo:
-    """Fisher information of the profile parameters under circular Gaussian noise."""
-
-    matrix: np.ndarray
-
-
-def fisher_info(jac, sigma2: float | None = None, noise_cov: np.ndarray | None = None) -> FisherInfo:
-    """J = 2 Re{G^H R^-1 G}; pass sigma2 for R = sigma2 * I, or a full R."""
+def fisher_info(jac, sigma2: float | None = None, noise_cov: np.ndarray | None = None) -> np.ndarray:
+    """(P, P) J = 2 Re{G^H R^-1 G} of an (m, P) Jacobian; pass sigma2 for R = sigma2 * I, or a full R."""
     g = np.asarray(jac)
     if (sigma2 is None) == (noise_cov is None):
         raise ValueError("pass exactly one of sigma2 or noise_cov")
@@ -282,7 +267,7 @@ def fisher_info(jac, sigma2: float | None = None, noise_cov: np.ndarray | None =
         if r.shape != (g.shape[0], g.shape[0]):
             raise ValueError(f"noise covariance shape {r.shape} does not match {g.shape[0]} bins")
         j = 2.0 * (np.conj(g).T @ np.linalg.solve(r, g)).real
-    return FisherInfo((j + j.T) / 2.0)
+    return (j + j.T) / 2.0
 
 
 @dataclass(frozen=True)
@@ -306,25 +291,18 @@ class CrlbResult:
         return np.sqrt(np.clip(np.diag(self.covariance), 0.0, None))
 
 
-def crlb_from_fisher(fishers) -> CrlbResult:
-    """Invert a sum of Fisher matrices, or report the unidentifiable subspace."""
-    if isinstance(fishers, (FisherInfo, np.ndarray)):
-        fishers = [fishers]
-    mats = [f.matrix if isinstance(f, FisherInfo) else np.asarray(f, dtype=float) for f in fishers]
-    total = np.zeros_like(mats[0])
-    for m in mats:
-        if m.shape != total.shape:
-            raise ValueError("Fisher matrices must share one shape")
-        total = total + m
-    vals, vecs = np.linalg.eigh(total)
+def crlb_from_fisher(fisher) -> CrlbResult:
+    """Invert a (P, P) Fisher matrix, or report the unidentifiable subspace."""
+    fisher = np.array(fisher, dtype=float)
+    vals, vecs = np.linalg.eigh(fisher)
     vmax = float(vals.max(initial=0.0))
     vmin = float(vals.min()) if vals.size else 0.0
     cond = np.inf if vmin <= 0.0 else vmax / vmin
     if vmax <= 0.0 or cond > _COND_LIMIT:
         weak = vals <= vmax / _COND_LIMIT
-        return CrlbResult(total, None, vecs[:, weak], cond)
+        return CrlbResult(fisher, None, vecs[:, weak], cond)
     cov = (vecs / vals) @ vecs.T
-    return CrlbResult(total, (cov + cov.T) / 2.0, None, cond)
+    return CrlbResult(fisher, (cov + cov.T) / 2.0, None, cond)
 
 
 def crlb(
@@ -335,6 +313,5 @@ def crlb(
     sigma2: float,
 ) -> CrlbResult:
     """Parameter bound for a model observed from a set of sight lines."""
-    lmat = np.stack([l.vec for l in lines]) if isinstance(lines, (list, tuple)) else np.asarray(lines)
-    _, jmat = profile_jacobians(model, wf, grid, lmat)
+    _, jmat = profile_jacobians(model, wf, grid, lines)
     return crlb_from_fisher(fisher_info(jmat.reshape(-1, model.n_params), sigma2))

@@ -15,7 +15,6 @@ zero subgradient there.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby
 
 import numpy as np
 
@@ -166,26 +165,15 @@ def _stacked(
     observations: list[Observation], model: PointScatteringModel, wf: WaveformKernel, jacobian: bool = False
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Observed and modeled profiles (K, m) in observation order, plus the
-    Jacobians (K, m, P) when asked.
-
-    Each run of consecutive observations on one grid is one model call, so a
-    pattern on a shared grid is a single call; slicing runs, rather than
-    gathering rows by grid, keeps the per-call overhead of small fits low.
+    Jacobians (K, m, P) when asked, from one model call over the whole batch.
     """
     # np.array, not np.stack: the same (K, m) copy at a fraction of the call cost
     zmat = np.array([o.z for o in observations])
     lmat = np.array([o.line.vec for o in observations])
-    gmat = np.empty_like(zmat)
-    jmat = np.empty(zmat.shape + (model.n_params,), dtype=complex) if jacobian else None
-    start = 0
-    for grid, run in groupby(observations, key=lambda o: o.grid):
-        rows = slice(start, start + len(list(run)))
-        if jacobian:
-            gmat[rows], jmat[rows] = profile_jacobians(model, wf, grid, lmat[rows])
-        else:
-            gmat[rows] = synthesize_profiles(model, wf, grid, lmat[rows])
-        start = rows.stop
-    return zmat, gmat, jmat
+    grids = [o.grid for o in observations]
+    if jacobian:
+        return (zmat, *profile_jacobians(model, wf, grids, lmat))
+    return zmat, synthesize_profiles(model, wf, grids, lmat), None
 
 
 def _check_batch(observations: list[Observation], w: WeightMatrix, kind: str) -> None:

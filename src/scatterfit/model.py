@@ -17,7 +17,9 @@ with d(p.l)/dtheta = P^T l from the position model Jacobian P.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -41,27 +43,12 @@ class RangeGrid:
         if self.m < 1:
             raise ValueError(f"grid needs at least one bin, got {self.m}")
 
-    @property
+    @cached_property
     def bins(self) -> np.ndarray:
-        return self.b0 + self.delta * np.arange(self.m)
-
-
-@dataclass(frozen=True)
-class RangeProfile:
-    """Complex matched-filter output sampled on a range grid."""
-
-    grid: RangeGrid
-    line: SightLine
-    samples: np.ndarray
-
-    def __post_init__(self):
-        z = np.asarray(self.samples, dtype=complex)
-        if z.shape != (self.grid.m,):
-            raise ValueError(f"expected {self.grid.m} samples, got shape {z.shape}")
-        if not np.all(np.isfinite(z)):
-            raise ValueError("profile samples must be finite")
-        z.setflags(write=False)
-        object.__setattr__(self, "samples", z)
+        """Bin ranges (m,), computed once per grid and read-only."""
+        bins = self.b0 + self.delta * np.arange(self.m)
+        bins.setflags(write=False)
+        return bins
 
 
 @dataclass(frozen=True)
@@ -107,8 +94,11 @@ class PointScatteringModel:
 
 
 def _as_line_stack(lines) -> np.ndarray:
+    """Sight lines as a (K, 3) array: one SightLine, a list or tuple of them, or vectors."""
     if isinstance(lines, SightLine):
         return lines.vec[None, :]
+    if isinstance(lines, (list, tuple)):
+        lines = [l.vec if isinstance(l, SightLine) else l for l in lines]
     arr = np.asarray(lines, dtype=float)
     if arr.ndim == 1:
         arr = arr[None, :]
@@ -126,19 +116,23 @@ def _scatterer_geometry(scatterer: Scatterer, index: int, lines: np.ndarray):
     return np.einsum("kj,kj->k", pos, lines)
 
 
-def _forward(model: PointScatteringModel, wf: WaveformKernel, grid: RangeGrid, lines, jacobian: bool):
-    """Profiles (K, m) and, when asked, Jacobians (K, m, P) from one pass over the scatterers."""
+def _forward(model: PointScatteringModel, wf: WaveformKernel, bins: np.ndarray, lines, jacobian: bool):
+    """Profiles (K, m) and, when asked, Jacobians (K, m, P) from one pass over the scatterers.
+
+    bins holds the bin ranges, (m,) for a grid shared by every sight line or
+    (K, m) for one grid per sight line.
+    """
     lmat = _as_line_stack(lines)
-    bins = grid.bins
-    out = np.zeros((lmat.shape[0], grid.m), dtype=complex)
-    jac = np.zeros((lmat.shape[0], grid.m, model.n_params), dtype=complex) if jacobian else None
+    m = bins.shape[-1]
+    out = np.zeros((lmat.shape[0], m), dtype=complex)
+    jac = np.zeros((lmat.shape[0], m, model.n_params), dtype=complex) if jacobian else None
     slots = model.slot_slices() if jacobian else None
     k4 = 4.0 * np.pi * wf.fc / C_LIGHT
     for idx, s in enumerate(model.scatterers):
         pl = _scatterer_geometry(s, idx, lmat)
         a = s.amplitude_model.value(lmat)
         gamma = np.exp(1j * k4 * pl)
-        tau = 2.0 * (bins[None, :] + pl[:, None]) / C_LIGHT
+        tau = 2.0 * (bins + pl[:, None]) / C_LIGHT
         r = wf.autocorr(tau)
         out += (a * gamma)[:, None] * r
         if not jacobian:
@@ -155,32 +149,30 @@ def _forward(model: PointScatteringModel, wf: WaveformKernel, grid: RangeGrid, l
     return out, jac
 
 
+def _grid_bins(grid: RangeGrid | Sequence[RangeGrid]) -> np.ndarray:
+    """(m,) bins of one RangeGrid, or (K, m) bins of a sequence of K grids of m bins each."""
+    if isinstance(grid, RangeGrid):
+        return grid.bins
+    return np.array([g.bins for g in grid])
+
+
 def synthesize_profiles(
-    model: PointScatteringModel, wf: WaveformKernel, grid: RangeGrid, lines
+    model: PointScatteringModel, wf: WaveformKernel, grid: RangeGrid | Sequence[RangeGrid], lines
 ) -> np.ndarray:
-    """Profiles for a stack of sight lines: complex (K, m) array."""
-    return _forward(model, wf, grid, lines, jacobian=False)[0]
+    """Profiles for a stack of sight lines: complex (K, m) array.
 
-
-def synthesize_profile(
-    model: PointScatteringModel, wf: WaveformKernel, grid: RangeGrid, line: SightLine
-) -> RangeProfile:
-    """Profile for a single sight line."""
-    return RangeProfile(grid, line, synthesize_profiles(model, wf, grid, line)[0])
+    grid is one RangeGrid for every sight line, or a sequence of K grids, one
+    per sight line, all with m bins.
+    """
+    return _forward(model, wf, _grid_bins(grid), lines, jacobian=False)[0]
 
 
 def profile_jacobians(
-    model: PointScatteringModel, wf: WaveformKernel, grid: RangeGrid, lines
+    model: PointScatteringModel, wf: WaveformKernel, grid: RangeGrid | Sequence[RangeGrid], lines
 ) -> tuple[np.ndarray, np.ndarray]:
     """Profiles (K, m) and d(profile)/d(slots) (K, m, P) for a stack of sight lines.
 
-    The profiles are bit-identical to ``synthesize_profiles``.
+    grid is as for ``synthesize_profiles``, and the profiles are bit-identical
+    to it.
     """
-    return _forward(model, wf, grid, lines, jacobian=True)
-
-
-def profile_jacobian(
-    model: PointScatteringModel, wf: WaveformKernel, grid: RangeGrid, line: SightLine
-) -> np.ndarray:
-    """Jacobian for a single sight line, complex (m, P): bins by slots."""
-    return profile_jacobians(model, wf, grid, line)[1][0]
+    return _forward(model, wf, _grid_bins(grid), lines, jacobian=True)

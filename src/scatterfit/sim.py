@@ -14,7 +14,7 @@ import numpy as np
 
 from .geometry import SightLine
 from .loss import Observation
-from .model import PointScatteringModel, RangeGrid, RangeProfile, synthesize_profiles
+from .model import PointScatteringModel, RangeGrid, synthesize_profiles
 from .waveform import WaveformKernel
 
 
@@ -50,12 +50,6 @@ def _noise(rng: np.random.Generator, sigma2: float, m: int) -> np.ndarray:
     return np.sqrt(sigma2 / 2.0) * (re + 1j * im)
 
 
-def add_noise(profile: RangeProfile, spec: NoiseSpec, index: int = 0) -> Observation:
-    """Observation from one profile; index selects the noise substream."""
-    w = _noise(_substream(spec.seed, index), spec.sigma2, profile.grid.m)
-    return Observation(profile.samples + w, profile.line, profile.grid)
-
-
 def sweep_sightlines(
     count: int, elevation: float = 0.0, az_start: float = 0.0, az_stop: float = 2.0 * np.pi
 ) -> list[SightLine]:
@@ -76,8 +70,7 @@ def synthesize_pattern(
 ) -> StaticPattern:
     """Noisy profiles for every sight line, with per-aspect noise substreams."""
     line_objs = [l if isinstance(l, SightLine) else SightLine(np.asarray(l, dtype=float)) for l in lines]
-    lmat = np.stack([l.vec for l in line_objs])
-    gmat = synthesize_profiles(model, wf, grid, lmat)
+    gmat = synthesize_profiles(model, wf, grid, line_objs)
     obs = tuple(
         Observation(gmat[i] + _noise(_substream(spec.seed, i), spec.sigma2, grid.m), line_objs[i], grid)
         for i in range(len(line_objs))

@@ -22,7 +22,6 @@ from scatterfit import (
     Scatterer,
     Spherical,
     WeightMatrix,
-    add_noise,
     batch_loss,
     coherent_loss,
     coherent_loss_gradient,
@@ -33,12 +32,12 @@ from scatterfit import (
     noncoherent_clamp,
     noncoherent_loss,
     noncoherent_loss_gradient,
-    profile_jacobian,
+    profile_jacobians,
     sequential_fit,
     sightline_from_angles,
     sweep_sightlines,
     synthesize_pattern,
-    synthesize_profile,
+    synthesize_profiles,
 )
 from conftest import (
     POSITION_KINDS,
@@ -75,7 +74,7 @@ def test_gradient_fidelity(capsys):
         grid = RangeGrid(float(rng.uniform(-4.5, -3.5)), float(rng.uniform(0.12, 0.2)), int(rng.integers(40, 60)))
         theta = model.pack() + rng.normal(scale=0.03, size=model.n_params)
         eval_model = model.unpack(theta)
-        g = synthesize_profile(eval_model, wf, grid, line).samples
+        g = synthesize_profiles(eval_model, wf, grid, line)[0]
         # redraw when a bin sits so close to the modulus kink that central
         # differences would straddle it; true sub-clamp bins are excluded below
         mags = np.abs(g)
@@ -83,25 +82,25 @@ def test_gradient_fidelity(capsys):
             continue
         kinds_seen.update(kinds)
         scenarios += 1
-        z = synthesize_profile(model, wf, grid, line).samples
+        z = synthesize_profiles(model, wf, grid, line)[0]
         z = z + 0.1 * (rng.normal(size=grid.m) + 1j * rng.normal(size=grid.m))
         base = [WeightMatrix.identity(), WeightMatrix.from_sigma2(0.02),
                 WeightMatrix.diagonal(rng.uniform(0.3, 1.8, size=grid.m))][scenarios % 3]
         live = mags >= 10.0 * clamp
         diag = np.full(grid.m, base.scale) if base.kind == "scalar" else base.diag
         w_masked = WeightMatrix.diagonal(np.where(live, diag, 0.0))
-        jac = profile_jacobian(eval_model, wf, grid, line)
+        jac = profile_jacobians(eval_model, wf, grid, line)[1][0]
 
         got_c = coherent_loss_gradient(z, g, jac, base)
         fd_c = fd_gradient(
-            lambda th: coherent_loss(z, synthesize_profile(model.unpack(th), wf, grid, line).samples, base),
+            lambda th: coherent_loss(z, synthesize_profiles(model.unpack(th), wf, grid, line)[0], base),
             theta,
         )
         worst["coherent"] = max(worst["coherent"], rel_err(got_c, fd_c))
 
         got_n = noncoherent_loss_gradient(z, g, jac, w_masked, clamp)
         fd_n = fd_gradient(
-            lambda th: noncoherent_loss(z, synthesize_profile(model.unpack(th), wf, grid, line).samples, w_masked),
+            lambda th: noncoherent_loss(z, synthesize_profiles(model.unpack(th), wf, grid, line)[0], w_masked),
             theta,
         )
         worst["noncoherent"] = max(worst["noncoherent"], rel_err(got_n, fd_n))
@@ -165,12 +164,11 @@ def single_aspect_fits():
     wf = lfm_from_band(500e6, 3e9, 1e-6, 1000.0)
     grid = RangeGrid(-5.0, C_LIGHT / (4.0 * 500e6), 67)
     line = sightline_from_angles(0.0, np.pi / 6.0)
-    clean = synthesize_profile(reference_truth(), wf, grid, line)
     w = WeightMatrix.from_sigma2(0.01)
     t0 = time.monotonic()
     runs = []
     for seed in range(10):
-        obs = add_noise(clean, NoiseSpec(0.01, seed=seed))
+        obs = synthesize_pattern(reference_truth(), wf, grid, [line], NoiseSpec(0.01, seed=seed)).observations[0]
         seq = sequential_fit([obs], reference_guess(), wf, w)
         coh = gradient_descent([obs], reference_guess(), wf, "coherent", w)
         runs.append((seq, coh))
@@ -214,7 +212,7 @@ def test_loss_landscape_periodicity(capsys):
     grid = RangeGrid(-5.0, C_LIGHT / (4.0 * 500e6), 67)
     line = sightline_from_angles(0.0, 0.26)
     truth = reference_truth()
-    z = synthesize_profile(truth, wf, grid, line).samples
+    z = synthesize_profiles(truth, wf, grid, line)[0]
     w = WeightMatrix.identity()
     clamp = noncoherent_clamp(wf)
     theta0 = truth.pack()
@@ -228,8 +226,8 @@ def test_loss_landscape_periodicity(capsys):
         theta = theta0.copy()
         theta[j] += off
         m = truth.unpack(theta)
-        g = synthesize_profile(m, wf, grid, line).samples
-        jac = profile_jacobian(m, wf, grid, line)
+        g = synthesize_profiles(m, wf, grid, line)[0]
+        jac = profile_jacobians(m, wf, grid, line)[1][0]
         coh_grad[i] = coherent_loss_gradient(z, g, jac, w)[j]
         non_loss[i] = noncoherent_loss(z, g, w)
 
@@ -314,7 +312,7 @@ def test_crlb_statistical_efficiency(capsys):
     eigmin = float(np.min(np.linalg.eigvalsh(total.fisher)))
     psd_ok = sym == 0.0 and eigmin >= -1e-10 * float(np.max(np.abs(total.fisher)))
     parts = sum(
-        fisher_info(profile_jacobian(reference_truth(), wf_alg, grid_alg, l), sigma2=0.01).matrix
+        fisher_info(profile_jacobians(reference_truth(), wf_alg, grid_alg, l)[1][0], sigma2=0.01)
         for l in lines_alg
     )
     additive = rel_err(total.fisher, parts)
@@ -326,14 +324,13 @@ def test_crlb_statistical_efficiency(capsys):
     line = sightline_from_angles(0.3, 0.2)
     truth = PointScatteringModel((Scatterer(FixedAmplitude(1.0, 0.0), Spherical(1.0)),))
     sigma2 = 1e-4
-    clean = synthesize_profile(truth, wf, grid, line)
     w = WeightMatrix.from_sigma2(sigma2)
     cfg = DescentConfig(max_iters=3000, loss_rel_tol=1e-12, grad_norm_tol=1e-8)
     init = truth.unpack(truth.pack() + np.array([3e-4, -2e-4, 1e-4]))
     theta_true = truth.pack()
     errors = np.empty((200, 3))
     for seed in range(200):
-        obs = add_noise(clean, NoiseSpec(sigma2, seed=seed))
+        obs = synthesize_pattern(truth, wf, grid, [line], NoiseSpec(sigma2, seed=seed)).observations[0]
         fit = gradient_descent([obs], init, wf, "coherent", w, cfg)
         errors[seed] = fit.theta - theta_true
     mse = np.mean(errors**2, axis=0)

@@ -16,36 +16,35 @@ from scatterfit import (
     WeightMatrix,
     batch_gradient,
     crlb,
-    crlb_from_fisher,
     fisher_info,
     gradient_descent,
     line_search,
     lfm_from_band,
-    profile_jacobian,
     profile_jacobians,
     sequential_fit,
     sightline_from_angles,
-    synthesize_profile,
     synthesize_profiles,
 )
-from scatterfit import FisherInfo, NoiseSpec, Observation, add_noise
+from scatterfit import NoiseSpec, Observation, synthesize_pattern
 from conftest import reference_guess, reference_truth, random_line, rel_err
 
 
 def test_line_search_quadratic():
-    step, stalled = line_search(lambda s: (s - 3.0) ** 2, initial_step=1.0)
+    step, loss, stalled = line_search(lambda s: (s - 3.0) ** 2, initial_step=1.0)
     assert not stalled
     assert step == pytest.approx(3.0, rel=1e-3)
+    assert loss == (step - 3.0) ** 2
 
 
 def test_line_search_stalls_on_increase():
-    step, stalled = line_search(lambda s: s * s + 1.0 if s > 0.0 else 1.0, initial_step=1.0)
+    step, loss, stalled = line_search(lambda s: s * s + 1.0 if s > 0.0 else 1.0, initial_step=1.0)
     assert stalled
     assert step == 0.0
+    assert loss == 1.0
 
 
 def test_line_search_handles_bad_initial_step():
-    step, stalled = line_search(lambda s: (s - 2.0) ** 2, initial_step=float("nan"))
+    step, _, stalled = line_search(lambda s: (s - 2.0) ** 2, initial_step=float("nan"))
     assert not stalled
     assert step == pytest.approx(2.0, rel=1e-3)
 
@@ -76,11 +75,11 @@ def test_single_descent_step_solves_amplitude():
     # gradient at the start point is (up to roundoff) pure s_re, and the loss
     # along that ray is an exact quadratic: one exact line search nails it
     wf, grid, line, truth = one_sphere_scenario()
-    z = synthesize_profile(truth, wf, grid, line).samples
+    z = synthesize_profiles(truth, wf, grid, line)[0]
     init = truth.unpack(np.array([1.0, 0.0, 1.0]))
     obs = Observation(z, line, grid)
     l0 = float(
-        np.sum(np.abs(z - synthesize_profile(init, wf, grid, line).samples) ** 2)
+        np.sum(np.abs(z - synthesize_profiles(init, wf, grid, line)[0]) ** 2)
     )
     report = gradient_descent([obs], init, wf, "coherent", cfg=DescentConfig(max_iters=1))
     assert report.iterations == 1
@@ -90,7 +89,7 @@ def test_single_descent_step_solves_amplitude():
 
 def test_converges_immediately_at_truth():
     wf, grid, line, truth = one_sphere_scenario()
-    z = synthesize_profile(truth, wf, grid, line).samples
+    z = synthesize_profiles(truth, wf, grid, line)[0]
     report = gradient_descent([Observation(z, line, grid)], truth, wf, "coherent")
     assert report.status == "converged"
     assert report.iterations == 0
@@ -100,7 +99,7 @@ def test_converges_immediately_at_truth():
 
 def test_truth_is_a_fixed_point_of_both_losses():
     wf, grid, line, truth = one_sphere_scenario()
-    z = synthesize_profile(truth, wf, grid, line).samples
+    z = synthesize_profiles(truth, wf, grid, line)[0]
     obs = [Observation(z, line, grid)]
     w = WeightMatrix.identity()
     for kind in ("coherent", "noncoherent"):
@@ -111,7 +110,7 @@ def test_truth_is_a_fixed_point_of_both_losses():
 
 def test_zero_iteration_budget():
     wf, grid, line, truth = one_sphere_scenario()
-    z = synthesize_profile(truth, wf, grid, line).samples
+    z = synthesize_profiles(truth, wf, grid, line)[0]
     init = truth.unpack(np.array([1.5, 0.2, 0.9]))
     report = gradient_descent([Observation(z, line, grid)], init, wf, cfg=DescentConfig(max_iters=0))
     assert report.status == "max_iters"
@@ -124,8 +123,7 @@ def noisy_reference_fit():
     wf = lfm_from_band(500e6, 3e9, 1e-6, 1000.0)
     grid = RangeGrid(-5.0, C_LIGHT / (4.0 * 500e6), 67)
     line = sightline_from_angles(0.0, np.pi / 6.0)
-    clean = synthesize_profile(reference_truth(), wf, grid, line)
-    obs = add_noise(clean, NoiseSpec(0.01, seed=0))
+    obs = synthesize_pattern(reference_truth(), wf, grid, [line], NoiseSpec(0.01, seed=0)).observations[0]
     w = WeightMatrix.from_sigma2(0.01)
     return wf, obs, w
 
@@ -177,7 +175,7 @@ def test_fisher_matches_naive_loop(rng):
     for p in range(4):
         for q in range(4):
             want[p, q] = (2.0 / sigma2) * np.sum(np.conj(jac[:, p]) * jac[:, q]).real
-    got = fisher_info(jac, sigma2=sigma2).matrix
+    got = fisher_info(jac, sigma2=sigma2)
     assert rel_err(got, want) < 1e-12
     assert np.array_equal(got, got.T)
     assert np.min(np.linalg.eigvalsh(got)) >= -1e-12 * np.max(np.abs(got))
@@ -186,8 +184,8 @@ def test_fisher_matches_naive_loop(rng):
 def test_fisher_noise_cov_path(rng):
     jac = rng.normal(size=(7, 3)) + 1j * rng.normal(size=(7, 3))
     sigma2 = 0.25
-    via_scalar = fisher_info(jac, sigma2=sigma2).matrix
-    via_cov = fisher_info(jac, noise_cov=sigma2 * np.eye(7)).matrix
+    via_scalar = fisher_info(jac, sigma2=sigma2)
+    via_cov = fisher_info(jac, noise_cov=sigma2 * np.eye(7))
     assert rel_err(via_cov, via_scalar) < 1e-12
 
 
@@ -226,8 +224,8 @@ def test_crlb_additivity_over_aspects():
     total = crlb(model, wf, grid, lines, sigma2)
     parts = np.zeros_like(total.fisher)
     for line in lines:
-        jac = profile_jacobian(model, wf, grid, line)
-        parts = parts + fisher_info(jac, sigma2=sigma2).matrix
+        jac = profile_jacobians(model, wf, grid, line)[1][0]
+        parts = parts + fisher_info(jac, sigma2=sigma2)
     assert rel_err(total.fisher, parts) < 1e-10
 
 
@@ -269,16 +267,6 @@ def test_crlb_single_aspect_reports_null_space():
     assert rel_err(res.null_space.T @ res.null_space, np.eye(5)) < 1e-10
     sup = np.max(np.abs(res.fisher @ res.null_space))
     assert sup <= 1e-6 * np.max(np.abs(res.fisher))
-
-
-def test_crlb_from_fisher_accepts_lists(rng):
-    a = rng.normal(size=(3, 3))
-    f1 = a @ a.T + 3.0 * np.eye(3)
-    res_sum = crlb_from_fisher([f1, f1])
-    res_once = crlb_from_fisher(FisherInfo(2.0 * f1))
-    assert rel_err(res_sum.fisher, res_once.fisher) < 1e-14
-    with pytest.raises(ValueError):
-        crlb_from_fisher([f1, np.eye(4)])
 
 
 def test_crlb_validation():

@@ -4,8 +4,14 @@ import numpy as np
 import pytest
 
 from scatterfit import (
+    DegenerateGeometryError,
+    FixedAmplitude,
     Observation,
+    PointScatteringModel,
     RangeGrid,
+    Scatterer,
+    SightLine,
+    SlippingRing,
     WeightMatrix,
     batch_gradient,
     batch_loss,
@@ -14,9 +20,8 @@ from scatterfit import (
     noncoherent_clamp,
     noncoherent_loss,
     noncoherent_loss_gradient,
-    profile_jacobian,
+    profile_jacobians,
     sightline_from_angles,
-    synthesize_profile,
     synthesize_profiles,
 )
 from conftest import fd_gradient, reference_truth, random_line, random_model, rel_err
@@ -84,23 +89,23 @@ def test_gradients_match_finite_differences(wf_unit, rng):
     line = sightline_from_angles(0.5, 0.3)
     model = random_model(rng, n=2)
     theta = model.pack()
-    g = synthesize_profile(model, wf_unit, grid, line).samples
+    g = synthesize_profiles(model, wf_unit, grid, line)[0]
     # keep the modulus kink far away so central differences stay clean
     assert np.min(np.abs(g)) > 1e-3 * wf_unit.peak
     z = g + 0.05 * (rng.normal(size=grid.m) + 1j * rng.normal(size=grid.m))
-    jac = profile_jacobian(model, wf_unit, grid, line)
+    jac = profile_jacobians(model, wf_unit, grid, line)[1][0]
     for w in weight_cases(rng, grid.m):
         got = coherent_loss_gradient(z, g, jac, w)
 
         def loss_c(th):
-            return coherent_loss(z, synthesize_profile(model.unpack(th), wf_unit, grid, line).samples, w)
+            return coherent_loss(z, synthesize_profiles(model.unpack(th), wf_unit, grid, line)[0], w)
 
         assert rel_err(got, fd_gradient(loss_c, theta)) < 1e-5
 
         got_n = noncoherent_loss_gradient(z, g, jac, w, noncoherent_clamp(wf_unit))
 
         def loss_n(th):
-            return noncoherent_loss(z, synthesize_profile(model.unpack(th), wf_unit, grid, line).samples, w)
+            return noncoherent_loss(z, synthesize_profiles(model.unpack(th), wf_unit, grid, line)[0], w)
 
         assert rel_err(got_n, fd_gradient(loss_n, theta)) < 1e-5
 
@@ -214,8 +219,8 @@ def test_batch_additivity(wf_unit, rng):
 
 
 def test_batch_mixed_grids(wf_unit, rng):
-    # two grids (same bin count, different offsets and spacings) make two model
-    # calls inside one batch; the sums still add up
+    # two grids (same bin count, different offsets and spacings) in one batch,
+    # still one model call; the sums still add up
     model = reference_truth()
     g1 = RangeGrid(-3.0, 0.2, 23)
     g2 = RangeGrid(-2.5, 0.15, 23)
@@ -235,6 +240,20 @@ def test_batch_mixed_grids(wf_unit, rng):
         [obs[1]], guess, wf_unit, w, "noncoherent"
     )
     assert rel_err(gtotal, gsingles) < 1e-12
+
+
+def test_batch_names_degenerate_aspect_across_grids(wf_unit):
+    # the aspect index counts from the start of the batch, not of a run of
+    # observations that share a grid
+    model = PointScatteringModel((Scatterer(FixedAmplitude(1.0, 0.0), SlippingRing(0.5, 0.0)),))
+    g1 = RangeGrid(-3.0, 0.2, 23)
+    g2 = RangeGrid(-2.5, 0.15, 23)
+    lines = [sightline_from_angles(0.3, 0.1), SightLine(np.array([0.0, 0.0, 1.0]))]
+    obs = [Observation(np.zeros(23, dtype=complex), line, grid) for line, grid in zip(lines, (g1, g2))]
+    w = WeightMatrix.identity()
+    for evaluate in (batch_loss, batch_gradient):
+        with pytest.raises(DegenerateGeometryError, match="aspect 1"):
+            evaluate(obs, model, wf_unit, w, "coherent")
 
 
 def test_batch_validation(wf_unit, rng):

@@ -9,15 +9,12 @@ from scatterfit import (
     FixedCylindrical,
     PointScatteringModel,
     RangeGrid,
-    RangeProfile,
     Scatterer,
     Spherical,
     cartesian_to_cylindrical,
-    profile_jacobian,
     profile_jacobians,
     projected_range,
     sightline_from_angles,
-    synthesize_profile,
     synthesize_profiles,
 )
 from conftest import column_rel_err, fd_jacobian, reference_truth, random_line, random_model
@@ -26,6 +23,9 @@ from conftest import column_rel_err, fd_jacobian, reference_truth, random_line, 
 def test_range_grid():
     grid = RangeGrid(-2.0, 0.5, 9)
     assert np.array_equal(grid.bins, -2.0 + 0.5 * np.arange(9))
+    # computed once per grid, and nobody can write into the shared copy
+    assert grid.bins is grid.bins
+    assert not grid.bins.flags.writeable
     with pytest.raises(ValueError):
         RangeGrid(0.0, -0.1, 5)
     with pytest.raises(ValueError):
@@ -58,7 +58,7 @@ def test_phase_delay_quarter_cycle(wf_unit):
     line = sightline_from_angles(0.0, 0.0)
     x = C_LIGHT / (8.0 * wf_unit.fc)
     model = PointScatteringModel((Scatterer(FixedAmplitude(1.0, 0.0), FixedCylindrical(x, 0.0, 0.0)),))
-    g = synthesize_profile(model, wf_unit, RangeGrid(-x, 1.0, 1), line).samples
+    g = synthesize_profiles(model, wf_unit, RangeGrid(-x, 1.0, 1), line)[0]
     assert g[0] / wf_unit.peak == pytest.approx(1j, abs=1e-12)
 
 
@@ -66,7 +66,7 @@ def test_single_scatterer_profile_is_scaled_kernel(wf_unit, grid_mid):
     line = sightline_from_angles(0.7, -0.3)
     amp = complex(1.2, -0.4)
     model = PointScatteringModel((Scatterer(FixedAmplitude(amp.real, amp.imag), Spherical(0.0)),))
-    g = synthesize_profile(model, wf_unit, grid_mid, line).samples
+    g = synthesize_profiles(model, wf_unit, grid_mid, line)[0]
     want = amp * wf_unit.autocorr(2.0 * grid_mid.bins / C_LIGHT)
     assert np.max(np.abs(g - want)) <= 1e-12 * wf_unit.peak
 
@@ -74,9 +74,9 @@ def test_single_scatterer_profile_is_scaled_kernel(wf_unit, grid_mid):
 def test_superposition_is_exact(wf_unit, grid_mid, rng):
     line = random_line(rng)
     model = random_model(rng, n=3)
-    whole = synthesize_profile(model, wf_unit, grid_mid, line).samples
+    whole = synthesize_profiles(model, wf_unit, grid_mid, line)[0]
     parts = sum(
-        synthesize_profile(PointScatteringModel((s,)), wf_unit, grid_mid, line).samples
+        synthesize_profiles(PointScatteringModel((s,)), wf_unit, grid_mid, line)[0]
         for s in model.scatterers
     )
     assert np.array_equal(whole, parts)
@@ -84,15 +84,15 @@ def test_superposition_is_exact(wf_unit, grid_mid, rng):
 
 def test_empty_model_synthesizes_zeros(wf_unit, grid_mid):
     model = PointScatteringModel(())
-    g = synthesize_profile(model, wf_unit, grid_mid, sightline_from_angles(0.0, 0.0))
-    assert np.array_equal(g.samples, np.zeros(grid_mid.m, dtype=complex))
+    g = synthesize_profiles(model, wf_unit, grid_mid, sightline_from_angles(0.0, 0.0))[0]
+    assert np.array_equal(g, np.zeros(grid_mid.m, dtype=complex))
     assert model.pack().size == 0
 
 
 def test_profile_peaks_near_projected_ranges(wf_unit, grid_mid):
     line = sightline_from_angles(0.0, np.pi / 6.0)
     model = reference_truth()
-    g = np.abs(synthesize_profile(model, wf_unit, grid_mid, line).samples)
+    g = np.abs(synthesize_profiles(model, wf_unit, grid_mid, line)[0])
     bins = grid_mid.bins
     for s in model.scatterers:
         r = projected_range(s.position(line), line)
@@ -106,22 +106,24 @@ def test_multi_aspect_stack_matches_single(wf_unit, grid_mid, rng):
     lines = [random_line(rng) for _ in range(4)]
     stacked = synthesize_profiles(model, wf_unit, grid_mid, [l.vec for l in lines])
     assert stacked.shape == (4, grid_mid.m)
+    # a list of SightLine objects is the same stack as their vectors
+    assert np.array_equal(synthesize_profiles(model, wf_unit, grid_mid, lines), stacked)
     for k, line in enumerate(lines):
-        single = synthesize_profile(model, wf_unit, grid_mid, line).samples
+        single = synthesize_profiles(model, wf_unit, grid_mid, line)[0]
         assert np.array_equal(stacked[k], single)
     gstack, jstack = profile_jacobians(model, wf_unit, grid_mid, [l.vec for l in lines])
     assert np.array_equal(gstack, stacked)
     for k, line in enumerate(lines):
-        assert np.array_equal(jstack[k], profile_jacobian(model, wf_unit, grid_mid, line))
+        assert np.array_equal(jstack[k], profile_jacobians(model, wf_unit, grid_mid, line)[1][0])
 
 
 def test_jacobian_block_sparsity(wf_unit, grid_mid, rng):
     model = random_model(rng, n=3)
     line = random_line(rng)
-    jac = profile_jacobian(model, wf_unit, grid_mid, line)
+    jac = profile_jacobians(model, wf_unit, grid_mid, line)[1][0]
     # each scatterer's block matches its solo Jacobian: no cross-terms at all
     single = [
-        profile_jacobian(PointScatteringModel((s,)), wf_unit, grid_mid, line)
+        profile_jacobians(PointScatteringModel((s,)), wf_unit, grid_mid, line)[1][0]
         for s in model.scatterers
     ]
     for block, sl in zip(single, model.slot_slices()):
@@ -137,9 +139,9 @@ def test_jacobian_against_finite_differences(wf_unit, rng):
         theta = model.pack()
 
         def g_at(th):
-            return synthesize_profile(model.unpack(th), wf_unit, grid, line).samples
+            return synthesize_profiles(model.unpack(th), wf_unit, grid, line)[0]
 
-        got = profile_jacobian(model, wf_unit, grid, line)
+        got = profile_jacobians(model, wf_unit, grid, line)[1][0]
         fd = fd_jacobian(g_at, theta)
         worst = max(worst, column_rel_err(got, fd))
     assert worst < 1e-5, f"worst column error {worst:.3e}"
@@ -153,10 +155,10 @@ def test_translation_along_sightline(wf_unit, grid_mid):
     r, phi, z = cartesian_to_cylindrical(shifted_p)
     moved = Scatterer(base.amplitude_model, FixedCylindrical(r, phi, z))
 
-    g1 = synthesize_profile(PointScatteringModel((base,)), wf_unit, grid_mid, line).samples
+    g1 = synthesize_profiles(PointScatteringModel((base,)), wf_unit, grid_mid, line)[0]
     # same envelope argument on a grid shifted by delta; only the carrier turns
     grid2 = RangeGrid(grid_mid.b0 + delta, grid_mid.delta, grid_mid.m)
-    g2 = synthesize_profile(PointScatteringModel((moved,)), wf_unit, grid2, line).samples
+    g2 = synthesize_profiles(PointScatteringModel((moved,)), wf_unit, grid2, line)[0]
     factor = np.exp(-1j * 4.0 * np.pi * wf_unit.fc * delta / C_LIGHT)
     assert np.max(np.abs(g2 - factor * g1)) <= 1e-9 * wf_unit.peak
     live = np.abs(g1) > 1e-3 * wf_unit.peak
@@ -164,13 +166,8 @@ def test_translation_along_sightline(wf_unit, grid_mid):
     assert np.max(np.abs(dphase)) <= 1e-6
 
     # on the original grid the envelope peak moves by delta, within one bin
-    g2_same = synthesize_profile(PointScatteringModel((moved,)), wf_unit, grid_mid, line).samples
+    g2_same = synthesize_profiles(PointScatteringModel((moved,)), wf_unit, grid_mid, line)[0]
     i1 = int(np.argmax(np.abs(g1)))
     i2 = int(np.argmax(np.abs(g2_same)))
     assert abs((i2 - i1) - delta / grid_mid.delta) <= 1.0
 
-
-def test_range_profile_validation(grid_mid):
-    line = sightline_from_angles(0.0, 0.0)
-    with pytest.raises(ValueError):
-        RangeProfile(grid_mid, line, np.zeros(grid_mid.m - 1, dtype=complex))

@@ -1,9 +1,10 @@
-"""Invariants of the one forward pass and the stack-aware losses, over random inputs."""
+"""Invariants of the one forward pass, the stack-aware losses and the bound, over random inputs."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import scatterfit
 from scatterfit import (
     FixedAmplitude,
     FixedCylindrical,
@@ -18,6 +19,7 @@ from scatterfit import (
     batch_loss,
     coherent_loss,
     coherent_loss_gradient,
+    crlb,
     noncoherent_clamp,
     noncoherent_loss,
     noncoherent_loss_gradient,
@@ -25,7 +27,7 @@ from scatterfit import (
     sightline_from_angles,
     synthesize_profiles,
 )
-from conftest import POSITION_KINDS
+from conftest import POSITION_KINDS, rel_err
 
 PROPERTY = settings(max_examples=60, deadline=None)
 
@@ -133,3 +135,40 @@ def test_mixed_grid_batch_is_sum_of_singles(wf_unit, model, lines, grid_set, see
         assert total == pytest.approx(sum(batch_loss([o], guess, wf_unit, w, kind) for o in obs), rel=1e-12)
         gtotal = batch_gradient(obs, guess, wf_unit, w, kind)
         assert _sums_to(gtotal, [batch_gradient([o], guess, wf_unit, w, kind) for o in obs])
+
+
+@PROPERTY
+@given(models, line_stacks, bin_counts.flatmap(grids))
+def test_superposition_over_scatterers(wf_unit, model, lines, grid):
+    whole = synthesize_profiles(model, wf_unit, grid, lines)
+    parts = [synthesize_profiles(PointScatteringModel((s,)), wf_unit, grid, lines) for s in model.scatterers]
+    assert rel_err(whole, sum(parts)) <= 1e-12
+
+
+@PROPERTY
+@given(models, line_stacks, bin_counts.flatmap(grids), _real(-3.0, 3.0))
+def test_profiles_are_linear_in_the_amplitudes(wf_unit, model, lines, grid, c):
+    theta = model.pack()
+    for s, sl in zip(model.scatterers, model.slot_slices()):
+        theta[sl.start : sl.start + s.amplitude_model.n_slots] *= c
+    scaled = synthesize_profiles(model.unpack(theta), wf_unit, grid, lines)
+    want = c * synthesize_profiles(model, wf_unit, grid, lines)
+    assert rel_err(scaled, want) <= 1e-12
+
+
+@PROPERTY
+@given(models, st.lists(sightlines, min_size=2, max_size=6), bin_counts.flatmap(grids), _real(1e-4, 1.0))
+def test_doubling_sigma2_halves_fisher_and_doubles_covariance(wf_unit, model, lines, grid, sigma2):
+    lo = crlb(model, wf_unit, grid, lines, sigma2)
+    hi = crlb(model, wf_unit, grid, lines, 2.0 * sigma2)
+    assert rel_err(hi.fisher, lo.fisher / 2.0) <= 1e-12
+    assert hi.identifiable == lo.identifiable
+    if lo.identifiable:
+        assert rel_err(hi.covariance, 2.0 * lo.covariance) <= 1e-12
+
+
+def test_all_names_resolve():
+    names = scatterfit.__all__
+    assert len(names) == len(set(names))
+    for name in names:
+        assert getattr(scatterfit, name, None) is not None, name

@@ -15,13 +15,13 @@ from scatterfit import (
     SlippingRing,
     Spherical,
     WeightMatrix,
-    add_noise,
     batch_loss,
     crlb,
+    lfm_from_band,
     sightline_from_angles,
     sweep_sightlines,
     synthesize_pattern,
-    synthesize_profile,
+    synthesize_profiles,
 )
 from conftest import reference_truth
 
@@ -35,15 +35,11 @@ def test_noise_spec_validation():
 
 
 def test_zero_noise_is_exact(wf_unit, grid_mid):
-    line = sightline_from_angles(0.1, 0.4)
-    clean = synthesize_profile(reference_truth(), wf_unit, grid_mid, line)
-    obs = add_noise(clean, NoiseSpec(0.0, seed=5))
-    assert np.array_equal(obs.z, clean.samples)
     pattern = synthesize_pattern(
-        reference_truth(), wf_unit, grid_mid, sweep_sightlines(4, 0.3), NoiseSpec(0.0)
+        reference_truth(), wf_unit, grid_mid, sweep_sightlines(4, 0.3), NoiseSpec(0.0, seed=5)
     )
     for o in pattern.observations:
-        want = synthesize_profile(reference_truth(), wf_unit, grid_mid, o.line).samples
+        want = synthesize_profiles(reference_truth(), wf_unit, grid_mid, o.line)[0]
         assert np.array_equal(o.z, want)
 
 
@@ -58,25 +54,25 @@ def test_same_seed_is_bitwise_identical(wf_unit, grid_mid):
     assert not np.array_equal(p1.observations[0].z, p3.observations[0].z)
 
 
-def test_add_noise_matches_pattern_substream(wf_unit, grid_mid):
-    lines = sweep_sightlines(3, 0.25)
+def test_pattern_prefix_matches_full_pattern(wf_unit, grid_mid):
+    # aspect i always draws substream i, so the first k aspects of a pattern
+    # come out the same whether or not the rest are synthesized
+    lines = sweep_sightlines(4, 0.25)
     spec = NoiseSpec(0.04, seed=9)
-    pattern = synthesize_pattern(reference_truth(), wf_unit, grid_mid, lines, spec)
-    for i, line in enumerate(lines):
-        clean = synthesize_profile(reference_truth(), wf_unit, grid_mid, line)
-        solo = add_noise(clean, spec, index=i)
-        assert np.array_equal(solo.z, pattern.observations[i].z)
+    full = synthesize_pattern(reference_truth(), wf_unit, grid_mid, lines, spec)
+    for k in range(1, len(lines)):
+        prefix = synthesize_pattern(reference_truth(), wf_unit, grid_mid, lines[:k], spec)
+        for got, want in zip(prefix.observations, full.observations[:k], strict=True):
+            assert np.array_equal(got.z, want.z)
 
 
 def flat_noise(sigma2, seed, m, index=0):
+    """Noise of aspect index of a pattern of an empty model: pure noise."""
+    wf = lfm_from_band(500e6, 3e9, 1e-6, 1000.0)
+    lines = [sightline_from_angles(0.0, 0.0)] * (index + 1)
     grid = RangeGrid(0.0, 0.1, m)
-    line = sightline_from_angles(0.0, 0.0)
-    wf = None
-    clean = np.zeros(m, dtype=complex)
-    from scatterfit import Observation, RangeProfile
-
-    profile = RangeProfile(grid, line, clean)
-    return add_noise(profile, NoiseSpec(sigma2, seed), index).z
+    pattern = synthesize_pattern(PointScatteringModel(()), wf, grid, lines, NoiseSpec(sigma2, seed))
+    return pattern.observations[index].z
 
 
 def test_noise_power_and_circularity():
