@@ -5,11 +5,7 @@ from .geometry import (
     DegenerateGeometryError,
     Position3,
     SightLine,
-    cartesian_to_cylindrical,
-    cylindrical_to_cartesian,
-    projected_range,
     sightline_from_angles,
-    sightline_from_points,
 )
 from .waveform import LfmWaveform, WaveformKernel, lfm_from_band
 from .scatterer import (
@@ -80,12 +76,10 @@ __all__ = [
     "WeightMatrix",
     "batch_gradient",
     "batch_loss",
-    "cartesian_to_cylindrical",
     "coherent_loss",
     "coherent_loss_gradient",
     "crlb",
     "crlb_from_fisher",
-    "cylindrical_to_cartesian",
     "fisher_info",
     "gradient_descent",
     "lfm_from_band",
@@ -94,10 +88,8 @@ __all__ = [
     "noncoherent_loss",
     "noncoherent_loss_gradient",
     "profile_jacobians",
-    "projected_range",
     "sequential_fit",
     "sightline_from_angles",
-    "sightline_from_points",
     "synthesize_pattern",
     "synthesize_profiles",
     "sweep_sightlines",

@@ -39,7 +39,7 @@ from .loss import (
     noncoherent_loss,
     noncoherent_loss_gradient,
 )
-from .model import PointScatteringModel, RangeGrid, profile_jacobians, synthesize_profiles
+from .model import PointScatteringModel, RangeGrid, profile_jacobians
 from .scatterer import (
     FixedAmplitude,
     FixedCylindrical,
@@ -423,9 +423,9 @@ def _synthesize(cfg) -> tuple[StaticPattern, RangeGrid, list[SightLine], LfmWave
 
 
 def cmd_synth(cfg, out_dir: str, quiet: bool) -> int:
-    pattern, grid, lines, wf = _synthesize(cfg)
+    pattern, grid, lines, _ = _synthesize(cfg)
     noisy = np.stack([o.z for o in pattern.observations])
-    clean = synthesize_profiles(build_model(cfg["scatterers"]), wf, grid, lines)
+    clean = pattern.clean
     multi = len(lines) > 1
     _write(out_dir, "profile_noisy.csv", profile_csv(noisy if multi else noisy[0], grid, multi), quiet)
     _write(out_dir, "profile_clean.csv", profile_csv(clean if multi else clean[0], grid, multi), quiet)
@@ -465,6 +465,7 @@ def cmd_sweep_loss(cfg, out_dir: str, quiet: bool, scatterer: int, slot: str, ra
 
     pattern, grid, lines, wf = _synthesize(cfg)
     zs = np.stack([o.z for o in pattern.observations])
+    lmat = np.stack([l.vec for l in lines])
     w = WeightMatrix.identity()
     clamp = noncoherent_clamp(wf)
     theta0 = model.pack()
@@ -473,7 +474,7 @@ def cmd_sweep_loss(cfg, out_dir: str, quiet: bool, scatterer: int, slot: str, ra
     for off in offsets:
         theta = theta0.copy()
         theta[j] += off
-        g, jac = profile_jacobians(model.unpack(theta), wf, grid, lines)
+        g, jac = profile_jacobians(model.unpack(theta), wf, grid, lmat)
         cl = coherent_loss(zs, g, w)
         ncl = noncoherent_loss(zs, g, w)
         cg = coherent_loss_gradient(zs, g, jac, w)[j]

@@ -5,9 +5,9 @@ exact line search (bracket, then golden section).  The workhorse strategy is
 sequential: minimize the noncoherent loss first to land inside the coherent
 capture zone, then refine on the coherent loss.
 
-Fisher information for circular Gaussian noise is J = 2 Re{G^H R^-1 G}; the
-parameter covariance of any unbiased estimator is bounded below by the
-inverse of the aspect-summed J.
+Fisher information for white circular Gaussian noise, R = sigma^2 I, is
+J = (2 / sigma^2) Re{G^H G}; the parameter covariance of any unbiased
+estimator is bounded below by the inverse of the aspect-summed J.
 """
 
 from __future__ import annotations
@@ -72,18 +72,9 @@ class FitReport:
         return self.loss_trace[-1][1]
 
     @property
-    def losses(self) -> np.ndarray:
-        return np.array([v for _, v in self.loss_trace])
-
-    @property
     def residual_power(self) -> np.ndarray:
         """(aspects, bins) |z - g|^2."""
         return np.abs(self.residual) ** 2
-
-    @property
-    def residual_power_per_bin(self) -> np.ndarray:
-        """Per-bin residual power; aspect-averaged when fitted to a pattern."""
-        return self.residual_power.mean(axis=0)
 
 
 def _finite(v: float) -> float:
@@ -253,20 +244,12 @@ def sequential_fit(
     )
 
 
-def fisher_info(jac, sigma2: float | None = None, noise_cov: np.ndarray | None = None) -> np.ndarray:
-    """(P, P) J = 2 Re{G^H R^-1 G} of an (m, P) Jacobian; pass sigma2 for R = sigma2 * I, or a full R."""
+def fisher_info(jac, sigma2: float) -> np.ndarray:
+    """(P, P) J = (2 / sigma2) Re{G^H G} of an (m, P) Jacobian G, for white noise R = sigma2 * I."""
+    if sigma2 <= 0.0:
+        raise ValueError(f"noise power must be > 0, got {sigma2}")
     g = np.asarray(jac)
-    if (sigma2 is None) == (noise_cov is None):
-        raise ValueError("pass exactly one of sigma2 or noise_cov")
-    if sigma2 is not None:
-        if sigma2 <= 0.0:
-            raise ValueError(f"noise power must be > 0, got {sigma2}")
-        j = (2.0 / sigma2) * (np.conj(g).T @ g).real
-    else:
-        r = np.asarray(noise_cov)
-        if r.shape != (g.shape[0], g.shape[0]):
-            raise ValueError(f"noise covariance shape {r.shape} does not match {g.shape[0]} bins")
-        j = 2.0 * (np.conj(g).T @ np.linalg.solve(r, g)).real
+    j = (2.0 / sigma2) * (np.conj(g).T @ g).real
     return (j + j.T) / 2.0
 
 

@@ -1,4 +1,4 @@
-"""Sight lines, target-frame positions, and range projection.
+"""Sight lines and target-frame positions.
 
 A sight line is the unit vector pointing from the radar toward the target
 frame origin, expressed in target-frame coordinates.  A scatterer at
@@ -40,18 +40,6 @@ class SightLine:
         v.setflags(write=False)
         object.__setattr__(self, "vec", v)
 
-    @property
-    def x(self) -> float:
-        return float(self.vec[0])
-
-    @property
-    def y(self) -> float:
-        return float(self.vec[1])
-
-    @property
-    def z(self) -> float:
-        return float(self.vec[2])
-
 
 @dataclass(frozen=True)
 class Position3:
@@ -69,34 +57,7 @@ class Position3:
         object.__setattr__(self, "p", p)
 
 
-def sightline_from_points(radar: np.ndarray, target: np.ndarray) -> SightLine:
-    """Unit direction from a radar location to a target location."""
-    d = np.asarray(target, dtype=float) - np.asarray(radar, dtype=float)
-    if float(np.linalg.norm(d)) < _MIN_NORM:
-        raise DegenerateGeometryError("radar and target locations coincide")
-    return SightLine(d)
-
-
 def sightline_from_angles(azimuth: float, elevation: float) -> SightLine:
     """Sight line from azimuth (about +z, from +x) and elevation (toward +z), radians."""
     ce = math.cos(elevation)
     return SightLine(np.array([ce * math.cos(azimuth), ce * math.sin(azimuth), math.sin(elevation)]))
-
-
-def projected_range(position: Position3 | np.ndarray, line: SightLine) -> float:
-    """Range offset of a scatterer along the sight line: -p.l [m]."""
-    p = position.p if isinstance(position, Position3) else np.asarray(position, dtype=float)
-    return float(-(p @ line.vec))
-
-
-def cylindrical_to_cartesian(r_s: float, phi_s: float, z_s: float) -> Position3:
-    """(radius, azimuth, height) -> (x, y, z).  Radius must be nonnegative."""
-    if r_s < 0.0:
-        raise ValueError(f"cylindrical radius must be >= 0, got {r_s}")
-    return Position3(np.array([r_s * math.cos(phi_s), r_s * math.sin(phi_s), z_s]))
-
-
-def cartesian_to_cylindrical(pos: Position3 | np.ndarray) -> tuple[float, float, float]:
-    """(x, y, z) -> (radius, azimuth in (-pi, pi], height)."""
-    p = pos.p if isinstance(pos, Position3) else np.asarray(pos, dtype=float)
-    return float(math.hypot(p[0], p[1])), float(math.atan2(p[1], p[0])), float(p[2])

@@ -24,17 +24,16 @@ from .waveform import WaveformKernel
 
 
 class WeightMatrix:
-    """Real symmetric weights with scalar / diagonal / dense representations.
+    """Real symmetric weights with scalar / diagonal representations.
 
     The scalar form covers the identity and 1/sigma^2 scalings without ever
     materializing a matrix.
     """
 
-    def __init__(self, kind: str, scale: float = 1.0, diag=None, dense=None):
+    def __init__(self, kind: str, scale: float = 1.0, diag=None):
         self.kind = kind
         self.scale = float(scale)
         self.diag = diag
-        self.dense = dense
         if kind == "scalar":
             if not np.isfinite(self.scale) or self.scale < 0.0:
                 raise ValueError(f"weight scale must be finite and >= 0, got {scale}")
@@ -42,15 +41,6 @@ class WeightMatrix:
             self.diag = np.asarray(diag, dtype=float)
             if self.diag.ndim != 1 or not np.all(np.isfinite(self.diag)):
                 raise ValueError("diagonal weights must be a finite 1-D vector")
-        elif kind == "dense":
-            w = np.asarray(dense, dtype=float)
-            if w.ndim != 2 or w.shape[0] != w.shape[1]:
-                raise ValueError(f"dense weights must be square, got shape {w.shape}")
-            if not np.all(np.isfinite(w)):
-                raise ValueError("dense weights must be finite")
-            if np.max(np.abs(w - w.T)) != 0.0:
-                raise ValueError("dense weights must be exactly symmetric")
-            self.dense = w
         else:
             raise ValueError(f"unknown weight kind {kind!r}")
 
@@ -69,23 +59,15 @@ class WeightMatrix:
     def diagonal(cls, diag) -> "WeightMatrix":
         return cls("diagonal", diag=diag)
 
-    @classmethod
-    def from_dense(cls, dense) -> "WeightMatrix":
-        return cls("dense", dense=dense)
-
     def check_bins(self, m: int) -> None:
         if self.kind == "diagonal" and self.diag.shape[0] != m:
             raise ValueError(f"diagonal weights sized {self.diag.shape[0]}, profiles have {m} bins")
-        if self.kind == "dense" and self.dense.shape[0] != m:
-            raise ValueError(f"dense weights sized {self.dense.shape[0]}, profiles have {m} bins")
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """W x along the last axis; x may be real or complex, (m,) or (K, m)."""
         if self.kind == "scalar":
             return self.scale * x
-        if self.kind == "diagonal":
-            return self.diag * x
-        return x @ self.dense  # symmetric, so right-multiplication matches W x
+        return self.diag * x
 
 
 def _quad(w: WeightMatrix, r: np.ndarray) -> float:

@@ -38,6 +38,8 @@ class RangeGrid:
     m: int
 
     def __post_init__(self):
+        if not (np.isfinite(self.b0) and np.isfinite(self.delta)):
+            raise ValueError(f"grid origin and spacing must be finite, got b0={self.b0}, delta={self.delta}")
         if self.delta <= 0.0:
             raise ValueError(f"grid spacing must be > 0, got {self.delta}")
         if self.m < 1:
@@ -87,10 +89,6 @@ class PointScatteringModel:
         return PointScatteringModel(
             tuple(s.with_params(theta[sl]) for s, sl in zip(self.scatterers, self.slot_slices()))
         )
-
-    def validate(self) -> None:
-        for s in self.scatterers:
-            s.validate()
 
 
 def _as_line_stack(lines) -> np.ndarray:

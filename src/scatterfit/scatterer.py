@@ -221,10 +221,6 @@ class Scatterer:
             self.position_model.with_params(values[na:]),
         )
 
-    def validate(self) -> None:
-        self.amplitude_model.validate()
-        self.position_model.validate()
-
     # single-aspect convenience; batch paths call the models directly
 
     def position(self, line: SightLine) -> Position3:

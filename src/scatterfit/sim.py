@@ -32,13 +32,11 @@ class NoiseSpec:
 
 @dataclass(frozen=True)
 class StaticPattern:
-    """One noisy observation per sight line, sharing a grid and noise spec."""
+    """One noisy observation per sight line, sharing a grid and noise spec,
+    plus the noise-free (K, m) profiles they were drawn around."""
 
     observations: tuple[Observation, ...]
-
-    @property
-    def sightlines(self) -> list[SightLine]:
-        return [o.line for o in self.observations]
+    clean: np.ndarray
 
 
 def _substream(seed: int, index: int) -> np.random.Generator:
@@ -71,8 +69,9 @@ def synthesize_pattern(
     """Noisy profiles for every sight line, with per-aspect noise substreams."""
     line_objs = [l if isinstance(l, SightLine) else SightLine(np.asarray(l, dtype=float)) for l in lines]
     gmat = synthesize_profiles(model, wf, grid, line_objs)
+    gmat.setflags(write=False)
     obs = tuple(
         Observation(gmat[i] + _noise(_substream(spec.seed, i), spec.sigma2, grid.m), line_objs[i], grid)
         for i in range(len(line_objs))
     )
-    return StaticPattern(obs)
+    return StaticPattern(obs, gmat)

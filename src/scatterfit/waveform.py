@@ -38,7 +38,7 @@ class WaveformKernel(ABC):
 
 @dataclass(frozen=True)
 class LfmWaveform(WaveformKernel):
-    """Linear FM chirp x(t) = A exp(j(pi*alpha*t^2 + 2*pi*f0*t + phi0)), t in [0, T).
+    """Linear FM chirp x(t) = A exp(j(pi*alpha*t^2 + 2*pi*f0*t)), t in [0, T).
 
     Attributes:
         amplitude: pulse amplitude A [V].
@@ -46,7 +46,6 @@ class LfmWaveform(WaveformKernel):
         f0: start frequency offset from the carrier [Hz].
         chirp_rate: sweep rate alpha [Hz/s].
         fc: carrier frequency [Hz], used for the range phase term.
-        phi0: initial phase [rad]; drops out of the autocorrelation.
     """
 
     amplitude: float
@@ -54,9 +53,11 @@ class LfmWaveform(WaveformKernel):
     f0: float
     chirp_rate: float
     fc: float
-    phi0: float = 0.0
 
     def __post_init__(self):
+        fields = (self.amplitude, self.duration, self.f0, self.chirp_rate, self.fc)
+        if not all(np.isfinite(fields)):
+            raise ValueError(f"waveform fields must be finite, got {fields}")
         if self.duration <= 0.0:
             raise ValueError(f"pulse duration must be > 0, got {self.duration}")
         if self.amplitude <= 0.0:
@@ -65,11 +66,6 @@ class LfmWaveform(WaveformKernel):
             raise ValueError("chirp rate must be nonzero")
         if self.fc <= 0.0:
             raise ValueError(f"carrier frequency must be > 0, got {self.fc}")
-
-    @property
-    def bandwidth(self) -> float:
-        """Swept bandwidth |alpha| * T [Hz]."""
-        return abs(self.chirp_rate) * self.duration
 
     @property
     def peak(self) -> float:
@@ -129,5 +125,4 @@ def lfm_from_band(bandwidth: float, fc: float, duration: float = 1e-6, amplitude
         f0=-bandwidth / 2.0,
         chirp_rate=bandwidth / duration,
         fc=fc,
-        phi0=0.0,
     )

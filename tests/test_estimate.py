@@ -133,12 +133,11 @@ def test_loss_trace_is_monotone(noisy_reference_fit):
     cfg = DescentConfig(max_iters=40)
     for kind in ("coherent", "noncoherent"):
         report = gradient_descent([obs], reference_guess(), wf, kind, w, cfg)
-        losses = report.losses
+        losses = np.array([v for _, v in report.loss_trace])
         assert np.all(np.diff(losses) <= 0.0)
         assert report.final_loss == losses[-1]
         assert len(report.grad_norm_trace) == len(losses)
         assert report.residual_power.shape == (1, obs.grid.m)
-        assert np.array_equal(report.residual_power_per_bin, report.residual_power.mean(axis=0))
 
 
 def test_sequential_fit_merges_phases(noisy_reference_fit):
@@ -154,8 +153,9 @@ def test_sequential_fit_merges_phases(noisy_reference_fit):
     assert report.phase_boundary == 4
     assert len(report.loss_trace) <= 4 + 6
     assert report.iterations <= 8
-    rough = report.losses[: report.phase_boundary]
-    fine = report.losses[report.phase_boundary :]
+    losses = np.array([v for _, v in report.loss_trace])
+    rough = losses[: report.phase_boundary]
+    fine = losses[report.phase_boundary :]
     assert np.all(np.diff(rough) <= 0.0)
     assert np.all(np.diff(fine) <= 0.0)
 
@@ -181,24 +181,11 @@ def test_fisher_matches_naive_loop(rng):
     assert np.min(np.linalg.eigvalsh(got)) >= -1e-12 * np.max(np.abs(got))
 
 
-def test_fisher_noise_cov_path(rng):
-    jac = rng.normal(size=(7, 3)) + 1j * rng.normal(size=(7, 3))
-    sigma2 = 0.25
-    via_scalar = fisher_info(jac, sigma2=sigma2)
-    via_cov = fisher_info(jac, noise_cov=sigma2 * np.eye(7))
-    assert rel_err(via_cov, via_scalar) < 1e-12
-
-
 def test_fisher_argument_checks(rng):
     jac = rng.normal(size=(5, 2)) + 0j
-    with pytest.raises(ValueError):
-        fisher_info(jac)
-    with pytest.raises(ValueError):
-        fisher_info(jac, sigma2=0.1, noise_cov=np.eye(5))
-    with pytest.raises(ValueError):
-        fisher_info(jac, sigma2=0.0)
-    with pytest.raises(ValueError):
-        fisher_info(jac, noise_cov=np.eye(4))
+    for sigma2 in (0.0, -0.1):
+        with pytest.raises(ValueError):
+            fisher_info(jac, sigma2=sigma2)
 
 
 def multi_aspect_setup():

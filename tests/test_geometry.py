@@ -1,4 +1,4 @@
-"""Sight lines, positions, and the cylindrical converters."""
+"""Sight lines and positions."""
 
 import numpy as np
 import pytest
@@ -7,11 +7,7 @@ from scatterfit import (
     DegenerateGeometryError,
     Position3,
     SightLine,
-    cartesian_to_cylindrical,
-    cylindrical_to_cartesian,
-    projected_range,
     sightline_from_angles,
-    sightline_from_points,
 )
 
 
@@ -44,9 +40,9 @@ def test_sightline_readonly():
     line = SightLine(np.array([3.0, 4.0, 0.0]))
     with pytest.raises(ValueError):
         line.vec[0] = 0.0
-    assert line.x == pytest.approx(0.6)
-    assert line.y == pytest.approx(0.8)
-    assert line.z == 0.0
+    assert line.vec[0] == pytest.approx(0.6)
+    assert line.vec[1] == pytest.approx(0.8)
+    assert line.vec[2] == 0.0
 
 
 def test_sightline_from_angles():
@@ -59,14 +55,7 @@ def test_sightline_from_angles():
     for az, el in [(0.7, 0.2), (-2.1, -1.0), (5.5, 1.3)]:
         line = sightline_from_angles(az, el)
         assert abs(np.linalg.norm(line.vec) - 1.0) < 1e-12
-        assert line.z == pytest.approx(np.sin(el))
-
-
-def test_sightline_from_points():
-    line = sightline_from_points(np.array([0.0, 0.0, 0.0]), np.array([0.0, 5.0, 0.0]))
-    assert np.allclose(line.vec, [0.0, 1.0, 0.0])
-    with pytest.raises(DegenerateGeometryError):
-        sightline_from_points(np.array([1.0, 2.0, 3.0]), np.array([1.0, 2.0, 3.0]))
+        assert line.vec[2] == pytest.approx(np.sin(el))
 
 
 def test_position_validation():
@@ -77,49 +66,3 @@ def test_position_validation():
     p = Position3(np.array([1.0, 2.0, 3.0]))
     with pytest.raises(ValueError):
         p.p[0] = 9.0
-
-
-def test_projected_range_sign_and_linearity(rng):
-    line = sightline_from_angles(0.4, 0.1)
-    # a point along the sight line sits at negative range offset
-    assert projected_range(Position3(2.0 * line.vec), line) == pytest.approx(-2.0)
-    for _ in range(20):
-        a, b = rng.normal(size=3), rng.normal(size=3)
-        s, t = rng.normal(), rng.normal()
-        lhs = projected_range(s * a + t * b, line)
-        rhs = s * projected_range(a, line) + t * projected_range(b, line)
-        assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs), 1.0)
-
-
-def test_projected_range_accepts_position_or_array():
-    line = sightline_from_angles(0.0, 0.0)
-    arr = np.array([1.5, 0.0, 7.0])
-    assert projected_range(arr, line) == projected_range(Position3(arr), line)
-    assert projected_range(arr, line) == pytest.approx(-1.5)
-
-
-def test_cylindrical_round_trip(rng):
-    for _ in range(100):
-        r = float(rng.uniform(1e-6, 10.0))
-        phi = float(rng.uniform(-np.pi, np.pi))
-        z = float(rng.uniform(-10.0, 10.0))
-        r2, phi2, z2 = cartesian_to_cylindrical(cylindrical_to_cartesian(r, phi, z))
-        assert r2 == pytest.approx(r, rel=1e-12)
-        assert z2 == z
-        dphi = (phi2 - phi + np.pi) % (2.0 * np.pi) - np.pi
-        assert abs(dphi) < 1e-12
-
-
-def test_cylindrical_rejects_negative_radius():
-    with pytest.raises(ValueError):
-        cylindrical_to_cartesian(-0.1, 0.0, 0.0)
-
-
-def test_cartesian_to_cylindrical_axis():
-    r, phi, z = cartesian_to_cylindrical(np.array([0.0, 0.0, 3.0]))
-    assert r == 0.0
-    assert phi == 0.0
-    assert z == 3.0
-    r, phi, _ = cartesian_to_cylindrical(np.array([-1.0, 0.0, 0.0]))
-    assert r == 1.0
-    assert phi == pytest.approx(np.pi)

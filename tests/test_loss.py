@@ -41,20 +41,14 @@ def naive_quad(w: WeightMatrix, r: np.ndarray) -> float:
 def dense_of(w: WeightMatrix, m: int) -> np.ndarray:
     if w.kind == "scalar":
         return w.scale * np.eye(m)
-    if w.kind == "diagonal":
-        return np.diag(w.diag)
-    return w.dense
+    return np.diag(w.diag)
 
 
 def weight_cases(rng, m):
-    a = rng.normal(size=(m, m))
-    dense = (a @ a.T) / m + 0.5 * np.eye(m)
-    dense = (dense + dense.T) / 2.0
     return [
         WeightMatrix.identity(),
         WeightMatrix.from_sigma2(0.04),
         WeightMatrix.diagonal(rng.uniform(0.2, 2.0, size=m)),
-        WeightMatrix.from_dense(dense),
     ]
 
 
@@ -179,7 +173,7 @@ def test_observation_validation(grid_mid):
         obs.z[0] = 1.0
 
 
-def test_weight_validation(rng):
+def test_weight_validation():
     with pytest.raises(ValueError):
         WeightMatrix.from_sigma2(0.0)
     with pytest.raises(ValueError):
@@ -188,11 +182,9 @@ def test_weight_validation(rng):
         WeightMatrix("scalar", -2.0)
     with pytest.raises(ValueError):
         WeightMatrix.diagonal(np.array([[1.0, 2.0]]))
-    asym = rng.normal(size=(M, M))
-    with pytest.raises(ValueError):
-        WeightMatrix.from_dense(asym)
-    with pytest.raises(ValueError):
-        WeightMatrix("banded")
+    for kind in ("banded", "dense"):
+        with pytest.raises(ValueError):
+            WeightMatrix(kind)
     w = WeightMatrix.diagonal(np.ones(M))
     with pytest.raises(ValueError):
         w.check_bins(M + 1)

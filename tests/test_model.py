@@ -11,9 +11,7 @@ from scatterfit import (
     RangeGrid,
     Scatterer,
     Spherical,
-    cartesian_to_cylindrical,
     profile_jacobians,
-    projected_range,
     sightline_from_angles,
     synthesize_profiles,
 )
@@ -30,6 +28,9 @@ def test_range_grid():
         RangeGrid(0.0, -0.1, 5)
     with pytest.raises(ValueError):
         RangeGrid(0.0, 0.1, 0)
+    for b0, delta in ((np.nan, 1.0), (np.inf, 1.0), (0.0, np.inf), (0.0, np.nan)):
+        with pytest.raises(ValueError):
+            RangeGrid(b0, delta, 3)
 
 
 def test_pack_unpack_round_trip(rng):
@@ -95,7 +96,7 @@ def test_profile_peaks_near_projected_ranges(wf_unit, grid_mid):
     g = np.abs(synthesize_profiles(model, wf_unit, grid_mid, line)[0])
     bins = grid_mid.bins
     for s in model.scatterers:
-        r = projected_range(s.position(line), line)
+        r = -(s.position(line).p @ line.vec)
         idx = int(np.argmin(np.abs(bins - r)))
         window = g[max(idx - 1, 0) : idx + 2]
         assert window.max() >= 0.6 * abs(s.amplitude_model.value()) * wf_unit.peak
@@ -152,8 +153,8 @@ def test_translation_along_sightline(wf_unit, grid_mid):
     base = Scatterer(FixedAmplitude(1.0, 0.3), FixedCylindrical(0.8, 1.1, -0.5))
     delta = 0.35
     shifted_p = base.position(line).p - delta * line.vec
-    r, phi, z = cartesian_to_cylindrical(shifted_p)
-    moved = Scatterer(base.amplitude_model, FixedCylindrical(r, phi, z))
+    r, phi = np.hypot(shifted_p[0], shifted_p[1]), np.arctan2(shifted_p[1], shifted_p[0])
+    moved = Scatterer(base.amplitude_model, FixedCylindrical(r, phi, shifted_p[2]))
 
     g1 = synthesize_profiles(PointScatteringModel((base,)), wf_unit, grid_mid, line)[0]
     # same envelope argument on a grid shifted by delta; only the carrier turns

@@ -13,7 +13,6 @@ from scatterfit import (
     SightLine,
     SlippingRing,
     Spherical,
-    projected_range,
     sightline_from_angles,
 )
 from conftest import POSITION_KINDS, fd_jacobian, random_line, random_scatterer
@@ -52,11 +51,7 @@ def test_with_params_shape_check():
 
 def test_validate_rejects_negative_radii():
     # with_params may hold a transiently negative radius; validate flags it
-    for bad in (
-        Scatterer(FixedAmplitude(1.0, 0.0), FixedCylindrical(-0.1, 0.0, 0.0)),
-        Scatterer(FixedAmplitude(1.0, 0.0), SlippingRing(-0.1, 0.0)),
-        Scatterer(FixedAmplitude(1.0, 0.0), Spherical(-0.1)),
-    ):
+    for bad in (FixedCylindrical(-0.1, 0.0, 0.0), SlippingRing(-0.1, 0.0), Spherical(-0.1)):
         with pytest.raises(ValueError):
             bad.validate()
 
@@ -103,8 +98,8 @@ def test_slipping_range_in_xz_plane(rng):
         el = rng.uniform(-1.2, 1.2)
         line = sightline_from_angles(0.0, el)
         s = Scatterer(FixedAmplitude(1.0, 0.0), SlippingRing(r_s, z_s))
-        want = -(r_s * line.x + z_s * line.z)
-        assert projected_range(s.position(line), line) == pytest.approx(want, abs=1e-12)
+        want = -(r_s * line.vec[0] + z_s * line.vec[2])
+        assert -(s.position(line).p @ line.vec) == pytest.approx(want, abs=1e-12)
 
 
 def test_slipping_tracks_azimuth(rng):
@@ -131,4 +126,4 @@ def test_spherical_constant_range(rng):
     s = Scatterer(FixedAmplitude(1.0, 0.0), Spherical(rho))
     for _ in range(20):
         line = random_line(rng, min_xy=0.0)
-        assert projected_range(s.position(line), line) == pytest.approx(rho, abs=1e-12)
+        assert -(s.position(line).p @ line.vec) == pytest.approx(rho, abs=1e-12)

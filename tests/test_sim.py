@@ -38,9 +38,11 @@ def test_zero_noise_is_exact(wf_unit, grid_mid):
     pattern = synthesize_pattern(
         reference_truth(), wf_unit, grid_mid, sweep_sightlines(4, 0.3), NoiseSpec(0.0, seed=5)
     )
-    for o in pattern.observations:
+    for o, clean in zip(pattern.observations, pattern.clean, strict=True):
         want = synthesize_profiles(reference_truth(), wf_unit, grid_mid, o.line)[0]
         assert np.array_equal(o.z, want)
+        assert np.array_equal(clean, want)
+    assert not pattern.clean.flags.writeable
 
 
 def test_same_seed_is_bitwise_identical(wf_unit, grid_mid):
@@ -104,12 +106,12 @@ def test_sweep_sightlines_spacing():
         want = sightline_from_angles(az, 0.3)
         assert np.allclose(line.vec, want.vec, atol=1e-12)
     # the stop angle itself is never emitted
-    azimuths = [np.arctan2(l.y, l.x) % (2.0 * np.pi) for l in lines]
+    azimuths = [np.arctan2(l.vec[1], l.vec[0]) % (2.0 * np.pi) for l in lines]
     assert max(azimuths) < 2.0 * np.pi - 1e-6
 
     partial = sweep_sightlines(4, 0.0, az_start=1.0, az_stop=2.0)
-    assert np.arctan2(partial[0].y, partial[0].x) == pytest.approx(1.0)
-    assert np.arctan2(partial[-1].y, partial[-1].x) == pytest.approx(1.75)
+    assert np.arctan2(partial[0].vec[1], partial[0].vec[0]) == pytest.approx(1.0)
+    assert np.arctan2(partial[-1].vec[1], partial[-1].vec[0]) == pytest.approx(1.75)
     with pytest.raises(ValueError):
         sweep_sightlines(0)
 
@@ -138,5 +140,5 @@ def test_pattern_names_degenerate_aspect(wf_unit, grid_mid):
 def test_pattern_sightlines_property(wf_unit, grid_mid):
     lines = sweep_sightlines(3, 0.1)
     pattern = synthesize_pattern(reference_truth(), wf_unit, grid_mid, lines, NoiseSpec(0.0))
-    for got, want in zip(pattern.sightlines, lines):
-        assert np.array_equal(got.vec, want.vec)
+    for o, want in zip(pattern.observations, lines, strict=True):
+        assert np.array_equal(o.line.vec, want.vec)
