@@ -491,6 +491,8 @@ def _fit_report_json(report: FitReport, model: PointScatteringModel, strategy: s
         "strategy": strategy,
         "status": report.status,
         "iterations": report.iterations,
+        "loss_evals": report.loss_evals,
+        "grad_evals": report.grad_evals,
         "phase_boundary": report.phase_boundary,
         "final_loss": report.final_loss,
         "theta": [float(v) for v in report.theta],

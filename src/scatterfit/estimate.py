@@ -1,7 +1,8 @@
 """Model fitting by gradient descent, and the matching estimation bounds.
 
 The descent is deliberately plain: step along the negative gradient with an
-exact line search (bracket, then golden section).  The workhorse strategy is
+exact line search (bracket, then Brent's method, until the bracket is no
+wider than section_tol times the step).  The workhorse strategy is
 sequential: minimize the noncoherent loss first to land inside the coherent
 capture zone, then refine on the coherent loss.
 
@@ -21,7 +22,8 @@ from .loss import Observation, WeightMatrix, _stacked, batch_gradient, batch_los
 from .model import PointScatteringModel, RangeGrid, profile_jacobians
 from .waveform import WaveformKernel
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_CGOLD = (3.0 - math.sqrt(5.0)) / 2.0  # golden-section fraction of the larger side
+_TOL_FLOOR = 8.0 * float(np.finfo(float).eps)  # narrowest relative bracket floats resolve
 _COND_LIMIT = 1e12
 
 
@@ -65,6 +67,8 @@ class FitReport:
     grad_norm_trace: tuple[float, ...]
     residual: np.ndarray  # (aspects, bins) complex z - g at the fitted model
     iterations: int
+    loss_evals: int  # batch_loss calls, line searches included
+    grad_evals: int  # batch_gradient calls
     phase_boundary: int | None = None  # trace index where the coherent phase starts
 
     @property
@@ -78,39 +82,80 @@ class FitReport:
 
 
 def _finite(v: float) -> float:
-    return v if np.isfinite(v) else np.inf
+    v = float(v)
+    return v if math.isfinite(v) else math.inf
 
 
-def _golden_section(f, lo: float, hi: float, tol: float, best: tuple[float, float]) -> tuple[float, float]:
-    """Minimize f on [lo, hi]; returns the best point ever evaluated."""
-    best_x, best_f = best
-    c = hi - _GOLDEN * (hi - lo)
-    d = lo + _GOLDEN * (hi - lo)
-    fc, fd = _finite(f(c)), _finite(f(d))
-    while hi - lo > tol * max(abs(hi), abs(lo)):
-        if fc <= fd:
-            hi, d, fd = d, c, fc
-            c = hi - _GOLDEN * (hi - lo)
-            fc = _finite(f(c))
+def _brent(f, lo: float, x: float, hi: float, fx: float, tol: float) -> tuple[float, float]:
+    """Minimize f on [lo, hi] by Brent's method, from an interior x with f(x) = fx.
+
+    Each step fits a parabola through the best three points (x, w, v) and
+    takes its vertex when that lands well inside the bracket and moves less
+    than half the step before last; otherwise it takes a golden-section step
+    into the larger side.  No step is shorter than tol * x / 4, so the
+    bracket closes from both sides.  Stops once [lo, hi] is no wider than
+    tol * x and returns (x, f(x)), the best point evaluated.
+    """
+    w = v = x
+    fw = fv = fx
+    d = e = 0.0
+    while True:
+        xm = 0.5 * (lo + hi)
+        tol1 = 0.25 * max(tol, _TOL_FLOOR) * abs(x)
+        tol2 = 2.0 * tol1
+        if abs(x - xm) <= tol2 - 0.5 * (hi - lo):  # max(x - lo, hi - x) <= tol2
+            return x, fx
+        golden = True
+        if abs(e) > tol1:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            e_prev, e = e, d
+            # written so that a nan from an infinite loss falls back to golden
+            if abs(p) < abs(0.5 * q * e_prev) and q * (lo - x) < p < q * (hi - x):
+                golden = False
+                d = p / q
+                if (x + d) - lo < tol2 or hi - (x + d) < tol2:
+                    d = math.copysign(tol1, xm - x)
+        if golden:
+            e = (lo if x >= xm else hi) - x
+            d = _CGOLD * e
+        u = x + d if abs(d) >= tol1 else x + math.copysign(tol1, d)
+        fu = _finite(f(u))
+        if fu <= fx:
+            if u >= x:
+                lo = x
+            else:
+                hi = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
         else:
-            lo, c, fc = c, d, fd
-            d = lo + _GOLDEN * (hi - lo)
-            fd = _finite(f(d))
-        for x, v in ((c, fc), (d, fd)):
-            if v < best_f:
-                best_x, best_f = x, v
-    return best_x, best_f
+            if u < x:
+                lo = u
+            else:
+                hi = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
 
 
-def line_search(f, initial_step: float = 1.0, cfg: LineSearchConfig = LineSearchConfig()) -> tuple[float, float, bool]:
-    """Exact 1-D minimization of a loss along a ray.
+def line_search(
+    f, f0: float, initial_step: float = 1.0, cfg: LineSearchConfig = LineSearchConfig()
+) -> tuple[float, float, bool]:
+    """Exact 1-D minimization of a loss f(step) along a ray, given f0 = f(0).
 
     Brackets a minimum by geometric growth from the initial step, shrinking
-    first if the initial step does not decrease f; then golden-sections the
-    bracket.  Returns (step, loss at step, stalled); stalled means no decrease
-    was found, the step is 0 and the loss is f(0).
+    first if the initial step does not decrease f; then Brent's method
+    narrows the bracket until it is no wider than section_tol * step.  f is
+    never evaluated at 0 or at a negative step.  Returns (step, f(step),
+    stalled); stalled means no decrease was found, the step is 0 and the loss
+    is f0.
     """
-    f0 = _finite(f(0.0))
+    f0 = _finite(f0)
     step = initial_step if np.isfinite(initial_step) and initial_step > 0.0 else 1.0
     fs = _finite(f(step))
     shrinks = 0
@@ -130,7 +175,7 @@ def line_search(f, initial_step: float = 1.0, cfg: LineSearchConfig = LineSearch
         hi *= cfg.bracket_growth
         f_hi = _finite(f(hi))
         grows += 1
-    return _golden_section(f, lo, hi, cfg.section_tol, best=(mid, f_mid)) + (False,)
+    return _brent(f, lo, mid, hi, f_mid, cfg.section_tol) + (False,)
 
 
 def _as_observations(data) -> list[Observation]:
@@ -161,11 +206,16 @@ def gradient_descent(
     obs = _as_observations(data)
     w = w or WeightMatrix.identity()
     theta = model0.pack()
+    loss_evals = grad_evals = 0
 
     def loss_at(th: np.ndarray) -> float:
+        nonlocal loss_evals
+        loss_evals += 1
         return batch_loss(obs, model0.unpack(th), wf, w, kind)
 
     def grad_at(th: np.ndarray) -> np.ndarray:
+        nonlocal grad_evals
+        grad_evals += 1
         return batch_gradient(obs, model0.unpack(th), wf, w, kind)
 
     current = loss_at(theta)
@@ -182,6 +232,7 @@ def gradient_descent(
             break
         eta, stepped_loss, stalled = line_search(
             lambda s: loss_at(theta - s * grad),
+            current,
             0.1 * current / gnorm**2,
             cfg.line_search,
         )
@@ -209,6 +260,8 @@ def gradient_descent(
         grad_norm_trace=tuple(gnorms),
         residual=_residual(obs, fitted, wf),
         iterations=iterations,
+        loss_evals=loss_evals,
+        grad_evals=grad_evals,
     )
 
 
@@ -240,6 +293,8 @@ def sequential_fit(
         grad_norm_trace=rough.grad_norm_trace + fine.grad_norm_trace,
         residual=fine.residual,
         iterations=rough.iterations + fine.iterations,
+        loss_evals=rough.loss_evals + fine.loss_evals,
+        grad_evals=rough.grad_evals + fine.grad_evals,
         phase_boundary=len(rough.loss_trace),
     )
 

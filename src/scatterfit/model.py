@@ -20,6 +20,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Integral
 
 import numpy as np
 
@@ -42,6 +43,8 @@ class RangeGrid:
             raise ValueError(f"grid origin and spacing must be finite, got b0={self.b0}, delta={self.delta}")
         if self.delta <= 0.0:
             raise ValueError(f"grid spacing must be > 0, got {self.delta}")
+        if isinstance(self.m, bool) or not isinstance(self.m, Integral):
+            raise ValueError(f"bin count must be an integer, got {self.m!r}")
         if self.m < 1:
             raise ValueError(f"grid needs at least one bin, got {self.m}")
 

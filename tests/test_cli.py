@@ -257,6 +257,9 @@ def test_fit_sequential(tmp_path):
     assert set(report["slots"]) == {"s0.s_re", "s0.s_im", "s0.rho_s"}
     assert report["phase_boundary"] is not None
     assert isinstance(report["mean_residual_power_dbw"], float)
+    # one gradient at each phase's start and one per accepted step
+    assert report["grad_evals"] == report["iterations"] + 2
+    assert report["loss_evals"] > report["grad_evals"]
 
     header, rows = read_rows(out / "loss_trace.csv")
     assert header == "iteration,loss,phase"

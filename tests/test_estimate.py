@@ -30,21 +30,39 @@ from conftest import reference_guess, reference_truth, random_line, rel_err
 
 
 def test_line_search_quadratic():
-    step, loss, stalled = line_search(lambda s: (s - 3.0) ** 2, initial_step=1.0)
+    step, loss, stalled = line_search(lambda s: (s - 3.0) ** 2, 9.0, initial_step=1.0)
     assert not stalled
     assert step == pytest.approx(3.0, rel=1e-3)
     assert loss == (step - 3.0) ** 2
+    # a tolerance finer than floats can resolve stops at the float floor
+    step, _, _ = line_search(lambda s: (s - 3.0) ** 2, 9.0, 1.0, LineSearchConfig(section_tol=1e-17))
+    assert step == pytest.approx(3.0, rel=1e-12)
+
+
+def test_line_search_evaluation_count():
+    # a parabolic step lands on a quadratic's vertex; the rest is bracketing
+    # and the steps that close the bracket from both sides
+    steps = []
+
+    def f(s):
+        steps.append(s)
+        return (s - 3.0) ** 2
+
+    step, _, _ = line_search(f, 9.0, initial_step=1.0)
+    assert step == pytest.approx(3.0, rel=1e-4)
+    assert 0.0 not in steps
+    assert len(steps) <= 12
 
 
 def test_line_search_stalls_on_increase():
-    step, loss, stalled = line_search(lambda s: s * s + 1.0 if s > 0.0 else 1.0, initial_step=1.0)
+    step, loss, stalled = line_search(lambda s: s * s + 1.0 if s > 0.0 else 1.0, 1.0, initial_step=1.0)
     assert stalled
     assert step == 0.0
     assert loss == 1.0
 
 
 def test_line_search_handles_bad_initial_step():
-    step, _, stalled = line_search(lambda s: (s - 2.0) ** 2, initial_step=float("nan"))
+    step, _, stalled = line_search(lambda s: (s - 2.0) ** 2, 4.0, initial_step=float("nan"))
     assert not stalled
     assert step == pytest.approx(2.0, rel=1e-3)
 
@@ -158,6 +176,29 @@ def test_sequential_fit_merges_phases(noisy_reference_fit):
     fine = losses[report.phase_boundary :]
     assert np.all(np.diff(rough) <= 0.0)
     assert np.all(np.diff(fine) <= 0.0)
+
+
+def test_fit_report_counts_evaluations(noisy_reference_fit, monkeypatch):
+    import scatterfit.estimate as estimate
+
+    wf, obs, w = noisy_reference_fit
+    cfg = DescentConfig(max_iters=2)
+    calls = {"loss": 0, "grad": 0}
+    for name, key in (("batch_loss", "loss"), ("batch_gradient", "grad")):
+        def counted(*args, _fn=getattr(estimate, name), _key=key, **kwargs):
+            calls[_key] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(estimate, name, counted)
+    report = sequential_fit([obs], reference_guess(), wf, w, cfg)
+    assert report.loss_evals > 0 and report.grad_evals > 0
+    assert (report.loss_evals, report.grad_evals) == (calls["loss"], calls["grad"])
+    rough = gradient_descent([obs], reference_guess(), wf, "noncoherent", w, cfg)
+    fine = gradient_descent([obs], rough.model, wf, "coherent", w, cfg)
+    assert report.loss_evals == rough.loss_evals + fine.loss_evals
+    assert report.grad_evals == rough.grad_evals + fine.grad_evals
+    # one gradient at the start and one per accepted step, per phase
+    assert report.grad_evals == report.iterations + 2
 
 
 def test_sequential_beats_coherent_only(noisy_reference_fit):

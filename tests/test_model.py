@@ -28,6 +28,12 @@ def test_range_grid():
         RangeGrid(0.0, -0.1, 5)
     with pytest.raises(ValueError):
         RangeGrid(0.0, 0.1, 0)
+    # the bin count must be an integer: a float is rejected even when integral, and so is a bool
+    for m in (2.5, 3.0, np.float64(3.0), True, np.bool_(True), "3"):
+        with pytest.raises(ValueError):
+            RangeGrid(0.0, 0.1, m)
+    for m in (3, np.int64(3), np.int32(3), np.uint8(3)):
+        assert RangeGrid(0.0, 0.1, m).bins.shape == (3,)
     for b0, delta in ((np.nan, 1.0), (np.inf, 1.0), (0.0, np.inf), (0.0, np.nan)):
         with pytest.raises(ValueError):
             RangeGrid(b0, delta, 3)

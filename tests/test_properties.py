@@ -13,6 +13,7 @@ from scatterfit import (
     C_LIGHT,
     FixedAmplitude,
     FixedCylindrical,
+    LineSearchConfig,
     Observation,
     PointScatteringModel,
     RangeGrid,
@@ -25,6 +26,7 @@ from scatterfit import (
     coherent_loss,
     coherent_loss_gradient,
     crlb,
+    line_search,
     noncoherent_clamp,
     noncoherent_loss,
     noncoherent_loss_gradient,
@@ -194,6 +196,79 @@ def test_range_shift_turns_only_the_carrier(wf_unit, model, azimuths, elevation,
     got = synthesize_profiles(PointScatteringModel(tuple(moved)), wf_unit, shifted_grid, lines)
     want = np.exp(1j * 4.0 * np.pi * wf_unit.fc * d / C_LIGHT) * synthesize_profiles(model, wf_unit, grid, lines)
     assert np.max(np.abs(got - want)) <= 1e-12 * wf_unit.peak
+
+
+def _log_uniform(lo_exp, hi_exp):
+    return st.floats(lo_exp, hi_exp).map(lambda e: 10.0**e)
+
+
+@st.composite
+def unimodal_rays(draw):
+    """(f, a): a loss along a ray with its one minimizer at a > 0."""
+    a = draw(_log_uniform(-3, 3))
+    c = draw(_real(0.5, 10.0))
+    kind = draw(st.sampled_from(("quadratic", "cosh", "quartic")))
+    if kind == "quadratic":
+        return (lambda s: c * (s - a) ** 2), a
+    if kind == "cosh":
+        def cosh(s):
+            with np.errstate(over="ignore"):  # far steps overflow to inf
+                return float(np.cosh(c * (s - a) / a))
+
+        return cosh, a
+    return (lambda s: (s - a) ** 4), a  # flat near a: slow for parabolic steps
+
+
+def _search(f, initial_step, tol):
+    """Run line_search on f, returning its result and every step it evaluated."""
+    steps = []
+
+    def probe(s):
+        steps.append(s)
+        return f(s)
+
+    return line_search(probe, f(0.0), initial_step, LineSearchConfig(section_tol=tol)), steps
+
+
+def _bracket_width(steps, a):
+    """Width of the tightest evaluated bracket around a (step 0 counts as known)."""
+    return min(s for s in steps if s >= a) - max([0.0] + [s for s in steps if s <= a])
+
+
+LINE_SEARCH = settings(max_examples=300, deadline=None)
+tolerances = _log_uniform(-6, -2)
+initial_factors = _log_uniform(-3, 3)
+
+
+@LINE_SEARCH
+@given(unimodal_rays(), initial_factors, tolerances)
+def test_line_search_finds_the_minimizer(ray, factor, tol):
+    f, a = ray
+    (step, loss, stalled), steps = _search(f, factor * a, tol)
+    assert not stalled
+    assert abs(step - a) <= tol * a
+    assert _bracket_width(steps, a) <= tol * step
+    assert loss == f(step)
+    assert loss <= f(0.0)
+    assert min(steps) > 0.0
+
+
+@LINE_SEARCH
+@given(unimodal_rays(), initial_factors, tolerances, _real(1.01, 4.0), st.sampled_from((np.inf, np.nan)))
+def test_line_search_survives_a_non_finite_tail(ray, factor, tol, cut, bad):
+    f, a = ray
+
+    def tail(s):
+        return f(s) if s < cut * a else bad
+
+    (step, loss, stalled), steps = _search(tail, factor * a, tol)
+    assert not stalled
+    assert np.isfinite(loss)
+    assert loss == tail(step)
+    assert loss <= tail(0.0)
+    assert abs(step - a) <= tol * a
+    assert _bracket_width(steps, a) <= tol * step
+    assert min(steps) > 0.0
 
 
 def test_all_names_resolve():
