@@ -490,6 +490,7 @@ def _fit_report_json(report: FitReport, model: PointScatteringModel, strategy: s
     doc = {
         "strategy": strategy,
         "status": report.status,
+        "phase_statuses": list(report.phase_statuses),
         "iterations": report.iterations,
         "loss_evals": report.loss_evals,
         "grad_evals": report.grad_evals,

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .loss import Observation, WeightMatrix, _stacked, batch_gradient, batch_loss
-from .model import PointScatteringModel, RangeGrid, profile_jacobians
+from .loss import Observation, WeightMatrix, _as_batch, _Batch, batch_gradient, batch_loss
+from .model import PointScatteringModel, RangeGrid, profile_jacobians, synthesize_profiles
 from .waveform import WaveformKernel
 
 _CGOLD = (3.0 - math.sqrt(5.0)) / 2.0  # golden-section fraction of the larger side
@@ -62,13 +62,14 @@ class FitReport:
 
     model: PointScatteringModel
     theta: np.ndarray
-    status: str  # "converged" | "max_iters" | "stalled"
+    status: str  # "converged" | "max_iters" | "stalled"; the last phase's for a sequential fit
     loss_trace: tuple[tuple[int, float], ...]
     grad_norm_trace: tuple[float, ...]
     residual: np.ndarray  # (aspects, bins) complex z - g at the fitted model
     iterations: int
     loss_evals: int  # batch_loss calls, line searches included
     grad_evals: int  # batch_gradient calls
+    phase_statuses: tuple[str, ...]  # one status per phase, in phase order
     phase_boundary: int | None = None  # trace index where the coherent phase starts
 
     @property
@@ -149,7 +150,8 @@ def line_search(
     """Exact 1-D minimization of a loss f(step) along a ray, given f0 = f(0).
 
     Brackets a minimum by geometric growth from the initial step, shrinking
-    first if the initial step does not decrease f; then Brent's method
+    first if the initial step does not decrease f (the last step rejected
+    then closes the bracket, so no step is evaluated twice); then Brent's method
     narrows the bracket until it is no wider than section_tol * step.  f is
     never evaluated at 0 or at a negative step.  Returns (step, f(step),
     stalled); stalled means no decrease was found, the step is 0 and the loss
@@ -159,7 +161,9 @@ def line_search(
     step = initial_step if np.isfinite(initial_step) and initial_step > 0.0 else 1.0
     fs = _finite(f(step))
     shrinks = 0
+    hi = f_hi = None
     while fs >= f0:
+        hi, f_hi = step, fs  # the step just rejected closes the bracket from above
         step /= cfg.bracket_growth
         shrinks += 1
         if shrinks > cfg.max_bracket_steps:
@@ -167,8 +171,9 @@ def line_search(
         fs = _finite(f(step))
     # grow until the loss turns back up (or the growth budget runs out)
     lo, mid, f_mid = 0.0, step, fs
-    hi = mid * cfg.bracket_growth
-    f_hi = _finite(f(hi))
+    if hi is None:
+        hi = mid * cfg.bracket_growth
+        f_hi = _finite(f(hi))
     grows = 0
     while f_hi < f_mid and grows < cfg.max_bracket_steps:
         lo, mid, f_mid = mid, hi, f_hi
@@ -184,9 +189,8 @@ def _as_observations(data) -> list[Observation]:
     return list(data)
 
 
-def _residual(obs: list[Observation], model: PointScatteringModel, wf: WaveformKernel) -> np.ndarray:
-    zmat, gmat, _ = _stacked(obs, model, wf)
-    return zmat - gmat
+def _residual(batch: _Batch, model: PointScatteringModel, wf: WaveformKernel) -> np.ndarray:
+    return batch.z - synthesize_profiles(model, wf, batch.grid, batch.lines)
 
 
 def gradient_descent(
@@ -203,7 +207,7 @@ def gradient_descent(
     line_search seeded at 0.1 * loss / |grad|^2.  Stops on a relative
     gradient-norm drop, on a flat loss window, or at max_iters.
     """
-    obs = _as_observations(data)
+    obs = _as_batch(_as_observations(data))  # stacked and checked once per fit
     w = w or WeightMatrix.identity()
     theta = model0.pack()
     loss_evals = grad_evals = 0
@@ -262,6 +266,7 @@ def gradient_descent(
         iterations=iterations,
         loss_evals=loss_evals,
         grad_evals=grad_evals,
+        phase_statuses=(status,),
     )
 
 
@@ -279,8 +284,10 @@ def sequential_fit(
 
     The combined trace concatenates both phases; phase_boundary is the index
     of the first coherent entry (the two phases score different losses, so
-    the trace is only monotone within a phase). rough_cfg and fine_cfg
-    override cfg for their phase when the two need different budgets.
+    the trace is only monotone within a phase). status is the coherent
+    phase's, and phase_statuses holds both, noncoherent first. rough_cfg
+    and fine_cfg override cfg for their phase when the two need different
+    budgets.
     """
     rough = gradient_descent(data, model0, wf, "noncoherent", w, rough_cfg or cfg)
     fine = gradient_descent(data, rough.model, wf, "coherent", w, fine_cfg or cfg)
@@ -295,6 +302,7 @@ def sequential_fit(
         iterations=rough.iterations + fine.iterations,
         loss_evals=rough.loss_evals + fine.loss_evals,
         grad_evals=rough.grad_evals + fine.grad_evals,
+        phase_statuses=rough.phase_statuses + fine.phase_statuses,
         phase_boundary=len(rough.loss_trace),
     )
 

@@ -143,55 +143,69 @@ def noncoherent_clamp(wf: WaveformKernel) -> float:
     return 1e-12 * wf.peak
 
 
-def _stacked(
-    observations: list[Observation], model: PointScatteringModel, wf: WaveformKernel, jacobian: bool = False
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Observed and modeled profiles (K, m) in observation order, plus the
-    Jacobians (K, m, P) when asked, from one model call over the whole batch.
-    """
-    # np.array, not np.stack: the same (K, m) copy at a fraction of the call cost
-    zmat = np.array([o.z for o in observations])
-    lmat = np.array([o.line.vec for o in observations])
-    grids = [o.grid for o in observations]
-    if jacobian:
-        return (zmat, *profile_jacobians(model, wf, grids, lmat))
-    return zmat, synthesize_profiles(model, wf, grids, lmat), None
+@dataclass(frozen=True)
+class _Batch:
+    """Observations stacked once: samples (K, m), sight lines (K, 3), and
+    their one shared grid or their K grids."""
+
+    z: np.ndarray
+    lines: np.ndarray
+    grid: RangeGrid | tuple[RangeGrid, ...]
 
 
-def _check_batch(observations: list[Observation], w: WeightMatrix, kind: str) -> None:
+def _as_batch(observations: list[Observation] | _Batch) -> _Batch:
+    """Stack a list of observations, after checking it, or pass a stack through."""
+    if isinstance(observations, _Batch):
+        return observations
     if not observations:
         raise ValueError("need at least one observation")
-    m = observations[0].grid.m
-    if any(o.grid.m != m for o in observations):
+    grids = tuple(o.grid for o in observations)
+    if any(g.m != grids[0].m for g in grids):
         raise ValueError("all observations must share the same number of bins")
-    w.check_bins(m)
+    # np.array, not np.stack: the same (K, m) copy at a fraction of the call cost
+    return _Batch(
+        np.array([o.z for o in observations]),
+        np.array([o.line.vec for o in observations]),
+        grids[0] if all(g == grids[0] for g in grids) else grids,
+    )
+
+
+def _checked(observations: list[Observation] | _Batch, w: WeightMatrix, kind: str) -> _Batch:
+    """The stacked batch, once the weights and the loss kind fit it."""
+    batch = _as_batch(observations)
+    w.check_bins(batch.z.shape[1])
     if kind not in ("coherent", "noncoherent"):
         raise ValueError(f"unknown loss kind {kind!r}")
+    return batch
 
 
 def batch_loss(
-    observations: list[Observation],
+    observations: list[Observation] | _Batch,
     model: PointScatteringModel,
     wf: WaveformKernel,
     w: WeightMatrix,
     kind: str = "coherent",
 ) -> float:
-    """Unweighted sum of per-observation losses."""
-    _check_batch(observations, w, kind)
-    zmat, gmat, _ = _stacked(observations, model, wf)
-    return (coherent_loss if kind == "coherent" else noncoherent_loss)(zmat, gmat, w)
+    """Unweighted sum of per-observation losses.
+
+    observations is a list of Observations, or the stack a fit builds from
+    them once.
+    """
+    batch = _checked(observations, w, kind)
+    g = synthesize_profiles(model, wf, batch.grid, batch.lines)
+    return (coherent_loss if kind == "coherent" else noncoherent_loss)(batch.z, g, w)
 
 
 def batch_gradient(
-    observations: list[Observation],
+    observations: list[Observation] | _Batch,
     model: PointScatteringModel,
     wf: WaveformKernel,
     w: WeightMatrix,
     kind: str = "coherent",
 ) -> np.ndarray:
     """Gradient of batch_loss in the packed model parameters."""
-    _check_batch(observations, w, kind)
-    zmat, gmat, jmat = _stacked(observations, model, wf, jacobian=True)
+    batch = _checked(observations, w, kind)
+    g, jac = profile_jacobians(model, wf, batch.grid, batch.lines)
     if kind == "coherent":
-        return coherent_loss_gradient(zmat, gmat, jmat, w)
-    return noncoherent_loss_gradient(zmat, gmat, jmat, w, noncoherent_clamp(wf))
+        return coherent_loss_gradient(batch.z, g, jac, w)
+    return noncoherent_loss_gradient(batch.z, g, jac, w, noncoherent_clamp(wf))

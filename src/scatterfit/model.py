@@ -7,12 +7,19 @@ The sampled profile for a sight line l is
 where R is the pulse autocorrelation, a_n the complex amplitude, p_n the
 scatterer position, and gamma_n = exp(j*4*pi*fc*(p_n.l)/c) the two-way
 carrier phase.  Every factor is differentiable in the scatterer slots, so
-the profile Jacobian is assembled per scatterer from
+the profile Jacobian follows from
 
     d g / d theta_n = gamma*R * da/dtheta
                     + a*gamma * (j*4*pi*fc/c * R + 2/c * dR/dtau) * d(p.l)/dtheta
 
 with d(p.l)/dtheta = P^T l from the position model Jacobian P.
+
+A model is compiled once into a layout that groups its scatterers by
+primitive type.  The forward pass then has no loop over scatterers: each
+type's primitive evaluates the slot rows of all its scatterers in one call,
+projected ranges and amplitudes are (N, K) arrays, the kernel runs once on
+the (N, K, m) lags, the profiles are a sum over N, and the Jacobian is
+written one type group at a time.
 """
 
 from __future__ import annotations
@@ -56,42 +63,98 @@ class RangeGrid:
         return bins
 
 
-@dataclass(frozen=True)
+class _Layout:
+    """A model's structure, compiled once: per-scatterer slot slices and per-type groups.
+
+    amplitudes and positions hold one (kind, rows, cols) triple per primitive
+    type, in order of first appearance: the primitive class, the (n,)
+    indices of its scatterers, and the (n, n_slots) theta columns of their
+    slots.  prototypes are the scatterers the layout was compiled from;
+    every model sharing it rebuilds its own scatterers from them and its
+    theta.
+    """
+
+    def __init__(self, scatterers: tuple[Scatterer, ...]):
+        self.prototypes = scatterers
+        self.slices, start = [], 0
+        for s in scatterers:
+            self.slices.append(slice(start, start + s.n_slots))
+            start += s.n_slots
+        self.n_params = start
+        self.amplitudes = self._groups([(s.amplitude_model, sl.start) for s, sl in zip(scatterers, self.slices)])
+        self.positions = self._groups(
+            [(s.position_model, sl.start + s.amplitude_model.n_slots) for s, sl in zip(scatterers, self.slices)]
+        )
+
+    @staticmethod
+    def _groups(parts) -> tuple[tuple[type, np.ndarray, np.ndarray], ...]:
+        """Group (primitive, theta column of its first slot) pairs, one per scatterer, by type."""
+        members: dict[type, list[tuple[int, int]]] = {}
+        for index, (prim, first) in enumerate(parts):
+            members.setdefault(type(prim), []).append((index, first))
+        groups = []
+        for kind, rows in members.items():
+            index, first = np.array(rows, dtype=np.intp).T
+            groups.append((kind, index, first[:, None] + np.arange(len(kind.slot_names))))
+        return tuple(groups)
+
+
 class PointScatteringModel:
-    """An ordered collection of scatterers with one flat parameter vector."""
+    """An ordered collection of scatterers with one flat parameter vector.
 
-    scatterers: tuple[Scatterer, ...]
+    The scatterers are compiled once into a layout that groups them by
+    primitive type; the model itself is that layout plus theta, so
+    ``unpack`` swaps theta in O(1) and the forward pass evaluates each type's
+    scatterers together.  ``scatterers`` is rebuilt from theta on first use.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "scatterers", tuple(self.scatterers))
+    def __init__(self, scatterers):
+        scatterers = tuple(scatterers)
+        self._layout = _Layout(scatterers)
+        theta = np.array([v for s in scatterers for v in s.params], dtype=float)
+        theta.setflags(write=False)
+        self._theta = theta
+        self.__dict__["scatterers"] = scatterers
+
+    def __repr__(self) -> str:
+        return f"PointScatteringModel({self.scatterers!r})"
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PointScatteringModel):
+            return NotImplemented
+        return self.scatterers == other.scatterers
+
+    def __hash__(self) -> int:
+        return hash(self.scatterers)
+
+    @cached_property
+    def scatterers(self) -> tuple[Scatterer, ...]:
+        return tuple(s.with_params(self._theta[sl]) for s, sl in zip(self._layout.prototypes, self._layout.slices))
 
     @property
     def n_params(self) -> int:
-        return sum(s.n_slots for s in self.scatterers)
+        return self._layout.n_params
 
     def slot_slices(self) -> list[slice]:
         """Per-scatterer slices into the packed parameter vector."""
-        out, start = [], 0
-        for s in self.scatterers:
-            out.append(slice(start, start + s.n_slots))
-            start += s.n_slots
-        return out
+        return list(self._layout.slices)
 
     def slot_labels(self) -> list[str]:
-        return [f"s{i}.{name}" for i, s in enumerate(self.scatterers) for name in s.slot_names]
+        return [f"s{i}.{name}" for i, s in enumerate(self._layout.prototypes) for name in s.slot_names]
 
     def pack(self) -> np.ndarray:
-        if not self.scatterers:
-            return np.empty(0)
-        return np.concatenate([s.params for s in self.scatterers])
+        return self._theta.copy()
 
     def unpack(self, theta) -> "PointScatteringModel":
-        theta = np.asarray(theta, dtype=float)
+        """The same scatterers with new slot values; shares this model's layout."""
+        theta = np.array(theta, dtype=float)
         if theta.shape != (self.n_params,):
             raise ValueError(f"expected {self.n_params} parameters, got shape {theta.shape}")
-        return PointScatteringModel(
-            tuple(s.with_params(theta[sl]) for s, sl in zip(self.scatterers, self.slot_slices()))
-        )
+        theta.setflags(write=False)
+        model = object.__new__(PointScatteringModel)
+        model._layout = self._layout
+        model._theta = theta
+        return model
 
 
 def _as_line_stack(lines) -> np.ndarray:
@@ -108,45 +171,54 @@ def _as_line_stack(lines) -> np.ndarray:
     return arr
 
 
-def _scatterer_geometry(scatterer: Scatterer, index: int, lines: np.ndarray):
-    """Positions projected on the sight lines, with the scatterer named on error."""
-    try:
-        pos = scatterer.position_model.positions(lines)
-    except DegenerateGeometryError as err:
-        raise DegenerateGeometryError(f"scatterer {index}: {err}") from None
-    return np.einsum("kj,kj->k", pos, lines)
+def _projected_ranges(layout: _Layout, theta: np.ndarray, lines: np.ndarray) -> np.ndarray:
+    """p.l for every scatterer and sight line, (N, K), with the scatterer named on error."""
+    pl = np.empty((len(layout.prototypes), lines.shape[0]))
+    for kind, rows, cols in layout.positions:
+        try:
+            pos = kind.positions(theta[cols], lines)
+        except DegenerateGeometryError as err:
+            raise DegenerateGeometryError(f"scatterer {rows[0]}: {err}") from None
+        pl[rows] = np.einsum("nkj,kj->nk", pos, lines)
+    return pl
 
 
 def _forward(model: PointScatteringModel, wf: WaveformKernel, bins: np.ndarray, lines, jacobian: bool):
-    """Profiles (K, m) and, when asked, Jacobians (K, m, P) from one pass over the scatterers.
+    """Profiles (K, m) and, when asked, Jacobians (K, m, P) for all scatterers at once.
 
     bins holds the bin ranges, (m,) for a grid shared by every sight line or
-    (K, m) for one grid per sight line.
+    (K, m) for one grid per sight line.  The kernel runs once on the
+    (N, K, m) lags; the profile is the sum over the N scatterers, and the
+    Jacobian is written one primitive type at a time through a slot-major
+    view of the (K, m, P) result.
     """
+    layout, theta = model._layout, model._theta
     lmat = _as_line_stack(lines)
-    m = bins.shape[-1]
-    out = np.zeros((lmat.shape[0], m), dtype=complex)
-    jac = np.zeros((lmat.shape[0], m, model.n_params), dtype=complex) if jacobian else None
-    slots = model.slot_slices() if jacobian else None
+    n, k = len(layout.prototypes), lmat.shape[0]
+    pl = _projected_ranges(layout, theta, lmat)
+    a = np.empty((n, k), dtype=complex)
+    for kind, rows, cols in layout.amplitudes:
+        a[rows] = kind.values(theta[cols], lmat)
     k4 = 4.0 * np.pi * wf.fc / C_LIGHT
-    for idx, s in enumerate(model.scatterers):
-        pl = _scatterer_geometry(s, idx, lmat)
-        a = s.amplitude_model.value(lmat)
-        gamma = np.exp(1j * k4 * pl)
-        tau = 2.0 * (bins + pl[:, None]) / C_LIGHT
-        r = wf.autocorr(tau)
-        out += (a * gamma)[:, None] * r
-        if not jacobian:
-            continue
-        na = s.amplitude_model.n_slots
-        block = jac[:, :, slots[idx]]
-        if na:
-            a_grad = s.amplitude_model.gradient(lmat)
-            block[:, :, :na] = gamma[:, None, None] * r[:, :, None] * a_grad[None, None, :]
-        if s.position_model.n_slots:
-            u = np.einsum("kij,ki->kj", s.position_model.jacobians(lmat), lmat)
-            radial = a * gamma[:, None] * (1j * k4 * r + (2.0 / C_LIGHT) * wf.autocorr_deriv(tau))
-            block[:, :, na:] = radial[:, :, None] * u[:, None, :]
+    gamma = np.exp(1j * k4 * pl)
+    ag = a * gamma
+    tau = 2.0 * (bins + pl[:, :, None]) / C_LIGHT
+    if not jacobian:
+        return (ag[:, :, None] * wf.autocorr(tau)).sum(axis=0), None
+    r, dr = wf.autocorr(tau, deriv=True)
+    out = (ag[:, :, None] * r).sum(axis=0)
+    jac = np.empty((k, bins.shape[-1], layout.n_params), dtype=complex)
+    by_slot = jac.transpose(2, 0, 1)  # (P, K, m) view: one slot's block per row
+    # d g / d(amplitude slots) = gamma * R * da/dtheta
+    gr = gamma[:, :, None] * r
+    for kind, rows, cols in layout.amplitudes:
+        grad = kind.gradients(theta[cols], lmat)
+        by_slot[cols] = gr[rows][:, None] * grad.transpose(0, 2, 1)[..., None]
+    # d g / d(position slots) = a * gamma * (j*k4*R + 2/c * dR/dtau) * d(p.l)/dtheta
+    radial = ag[:, :, None] * (1j * k4 * r + (2.0 / C_LIGHT) * dr)
+    for kind, rows, cols in layout.positions:
+        u = np.einsum("nkij,ki->nkj", kind.jacobians(theta[cols], lmat), lmat)
+        by_slot[cols] = radial[rows][:, None] * u.transpose(0, 2, 1)[..., None]
     return out, jac
 
 

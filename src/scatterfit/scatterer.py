@@ -4,10 +4,14 @@ A scatterer owns a flat slot vector: amplitude slots first, then position
 slots.  Every primitive knows its own Jacobian with respect to its slots,
 which is what makes profile synthesis differentiable end to end.
 
-Position models are evaluated on stacks of sight lines, shape (K, 3), so a
-multi-aspect synthesis is a single vectorized call.  Radius-like slots are
-only sign-checked by ``validate()`` (i.e. when building a model from user
-input); an optimizer is free to drive them through zero.
+A primitive's geometry and amplitude are written once, as static methods
+over the slot rows (n, n_slots) of all n scatterers of its type and a stack
+of K sight lines, shape (K, 3); so a model's forward pass makes one call per
+primitive type, and ``Scatterer.position`` is the same call with one row.
+A new primitive is one class like these plus one entry in the CLI's type
+table.  Radius-like slots are only sign-checked by ``validate()`` (i.e. when
+building a model from user input); an optimizer is free to drive them
+through zero.
 """
 
 from __future__ import annotations
@@ -54,27 +58,45 @@ def _check_radius(value: float, what: str) -> None:
 
 
 class AmplitudeModel(_SlotModel):
-    """Complex scattering amplitude and its gradient w.r.t. its own slots."""
+    """Complex scattering amplitude and its gradient w.r.t. its own slots.
 
-    @abstractmethod
-    def value(self, lines=None) -> complex:
-        """Amplitude; `lines` is accepted for aspect-dependent extensions."""
+    Both are evaluated for the slot rows (n, n_slots) of the n scatterers of
+    one type at once, and may return any array that broadcasts to the stated
+    shape; `lines` is accepted for aspect-dependent extensions.
+    """
 
+    @staticmethod
     @abstractmethod
-    def gradient(self, lines=None) -> np.ndarray:
-        """d(amplitude)/d(slots), complex, shape (n_slots,)."""
+    def values(slots: np.ndarray, lines: np.ndarray) -> np.ndarray:
+        """Amplitudes for slot rows (n, n_slots) and sight-line stack (K, 3) -> complex (n, K)."""
+
+    @staticmethod
+    @abstractmethod
+    def gradients(slots: np.ndarray, lines: np.ndarray) -> np.ndarray:
+        """d(amplitude)/d(slots) -> complex (n, K, n_slots)."""
 
 
 class PositionModel(_SlotModel):
-    """Aspect-dependent scatterer position and its slot Jacobian."""
+    """Aspect-dependent scatterer position and its slot Jacobian.
 
-    @abstractmethod
-    def positions(self, lines: np.ndarray) -> np.ndarray:
-        """Positions for sight-line stack (K, 3) -> (K, 3)."""
+    Both are evaluated for the slot rows (n, n_slots) of the n scatterers of
+    one type at once, and may return any array that broadcasts to the stated
+    shape.
+    """
 
+    @staticmethod
     @abstractmethod
-    def jacobians(self, lines: np.ndarray) -> np.ndarray:
-        """d(position)/d(slots) for stack (K, 3) -> (K, 3, n_slots)."""
+    def positions(slots: np.ndarray, lines: np.ndarray) -> np.ndarray:
+        """Positions for slot rows (n, n_slots) and sight-line stack (K, 3) -> (n, K, 3)."""
+
+    @staticmethod
+    @abstractmethod
+    def jacobians(slots: np.ndarray, lines: np.ndarray) -> np.ndarray:
+        """d(position)/d(slots) -> (n, K, 3, n_slots)."""
+
+
+_RE_IM = np.array([[[1.0 + 0.0j, 0.0 + 1.0j]]])  # d(s_re + j*s_im)/d(s_re, s_im)
+_RE_IM.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -86,11 +108,13 @@ class FixedAmplitude(AmplitudeModel):
 
     slot_names = ("s_re", "s_im")
 
-    def value(self, lines=None) -> complex:
-        return complex(self.s_re, self.s_im)
+    @staticmethod
+    def values(slots: np.ndarray, lines: np.ndarray) -> np.ndarray:
+        return (slots[:, 0] + 1j * slots[:, 1])[:, None]
 
-    def gradient(self, lines=None) -> np.ndarray:
-        return np.array([1.0 + 0.0j, 0.0 + 1.0j])
+    @staticmethod
+    def gradients(slots: np.ndarray, lines: np.ndarray) -> np.ndarray:
+        return _RE_IM
 
 
 @dataclass(frozen=True)
@@ -103,22 +127,42 @@ class FixedCylindrical(PositionModel):
 
     slot_names = ("r_s", "phi_s", "z_s")
 
-    def positions(self, lines: np.ndarray) -> np.ndarray:
-        p = np.array([self.r_s * np.cos(self.phi_s), self.r_s * np.sin(self.phi_s), self.z_s])
-        return np.broadcast_to(p, (lines.shape[0], 3))
+    @staticmethod
+    def positions(slots: np.ndarray, lines: np.ndarray) -> np.ndarray:
+        r, phi, z = slots.T
+        p = np.empty((slots.shape[0], 1, 3))
+        p[:, 0, 0] = r * np.cos(phi)
+        p[:, 0, 1] = r * np.sin(phi)
+        p[:, 0, 2] = z
+        return p
 
-    def jacobians(self, lines: np.ndarray) -> np.ndarray:
-        c, s = np.cos(self.phi_s), np.sin(self.phi_s)
-        jac = np.array([
-            [c, -self.r_s * s, 0.0],
-            [s, self.r_s * c, 0.0],
-            [0.0, 0.0, 1.0],
-        ])
-        return np.broadcast_to(jac, (lines.shape[0], 3, 3))
+    @staticmethod
+    def jacobians(slots: np.ndarray, lines: np.ndarray) -> np.ndarray:
+        r, phi, _ = slots.T
+        c, s = np.cos(phi), np.sin(phi)
+        jac = np.zeros((slots.shape[0], 1, 3, 3))
+        jac[:, 0, 0, 0] = c
+        jac[:, 0, 0, 1] = -r * s
+        jac[:, 0, 1, 0] = s
+        jac[:, 0, 1, 1] = r * c
+        jac[:, 0, 2, 2] = 1.0
+        return jac
 
     def validate(self) -> None:
         super().validate()
         _check_radius(self.r_s, "ring")
+
+
+def _ring_direction(lines: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit xy direction (cos, sin) of each sight line's azimuth, (K,) each."""
+    lx, ly = lines[:, 0], lines[:, 1]
+    h = np.hypot(lx, ly)
+    bad = np.flatnonzero(h < _MIN_XY)
+    if bad.size:
+        raise DegenerateGeometryError(
+            f"aspect {bad[0]}: slipping ring azimuth is undefined for a sight line along the ring axis"
+        )
+    return lx / h, ly / h
 
 
 @dataclass(frozen=True)
@@ -135,30 +179,23 @@ class SlippingRing(PositionModel):
 
     slot_names = ("r_s", "z_s")
 
-    def _ring_direction(self, lines: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        lx, ly = lines[:, 0], lines[:, 1]
-        h = np.hypot(lx, ly)
-        bad = np.flatnonzero(h < _MIN_XY)
-        if bad.size:
-            raise DegenerateGeometryError(
-                f"aspect {bad[0]}: slipping ring azimuth is undefined for a sight line along the ring axis"
-            )
-        return lx / h, ly / h
-
-    def positions(self, lines: np.ndarray) -> np.ndarray:
-        c, s = self._ring_direction(lines)
-        out = np.empty((lines.shape[0], 3))
-        out[:, 0] = self.r_s * c
-        out[:, 1] = self.r_s * s
-        out[:, 2] = self.z_s
+    @staticmethod
+    def positions(slots: np.ndarray, lines: np.ndarray) -> np.ndarray:
+        c, s = _ring_direction(lines)
+        r, z = slots[:, 0, None], slots[:, 1, None]
+        out = np.empty((slots.shape[0], lines.shape[0], 3))
+        out[:, :, 0] = r * c
+        out[:, :, 1] = r * s
+        out[:, :, 2] = z
         return out
 
-    def jacobians(self, lines: np.ndarray) -> np.ndarray:
-        c, s = self._ring_direction(lines)
-        jac = np.zeros((lines.shape[0], 3, 2))
-        jac[:, 0, 0] = c
-        jac[:, 1, 0] = s
-        jac[:, 2, 1] = 1.0
+    @staticmethod
+    def jacobians(slots: np.ndarray, lines: np.ndarray) -> np.ndarray:
+        c, s = _ring_direction(lines)
+        jac = np.zeros((1, lines.shape[0], 3, 2))
+        jac[0, :, 0, 0] = c
+        jac[0, :, 1, 0] = s
+        jac[0, :, 2, 1] = 1.0
         return jac
 
     def validate(self) -> None:
@@ -178,11 +215,13 @@ class Spherical(PositionModel):
 
     slot_names = ("rho_s",)
 
-    def positions(self, lines: np.ndarray) -> np.ndarray:
-        return -self.rho_s * lines
+    @staticmethod
+    def positions(slots: np.ndarray, lines: np.ndarray) -> np.ndarray:
+        return -slots[:, :, None] * lines
 
-    def jacobians(self, lines: np.ndarray) -> np.ndarray:
-        return -lines[:, :, None]
+    @staticmethod
+    def jacobians(slots: np.ndarray, lines: np.ndarray) -> np.ndarray:
+        return -lines[None, :, :, None]
 
     def validate(self) -> None:
         super().validate()
@@ -221,7 +260,7 @@ class Scatterer:
             self.position_model.with_params(values[na:]),
         )
 
-    # single-aspect convenience; batch paths call the models directly
-
     def position(self, line: SightLine) -> Position3:
-        return Position3(self.position_model.positions(line.vec[None, :])[0])
+        """The point seen along one sight line, from the position model's batch code."""
+        pm = self.position_model
+        return Position3(pm.positions(np.array([pm.params]), line.vec[None, :])[0, 0])

@@ -2,7 +2,8 @@
 
 A range profile sample is a sum of scaled, delayed copies of the transmit
 pulse autocorrelation, so synthesis and differentiation only ever need the
-kernel R(tau) and its lag derivative dR/dtau.
+kernel R(tau) and its lag derivative dR/dtau; ``autocorr(tau, deriv=True)``
+returns both from one pass over the lags.
 """
 
 from __future__ import annotations
@@ -23,12 +24,8 @@ class WaveformKernel(ABC):
     fc: float
 
     @abstractmethod
-    def autocorr(self, tau):
-        """R(tau) for scalar or array lag [s]."""
-
-    @abstractmethod
-    def autocorr_deriv(self, tau):
-        """dR/dtau for scalar or array lag [s]."""
+    def autocorr(self, tau, deriv: bool = False):
+        """R(tau) for scalar or array lag [s]; with deriv, (R, dR/dtau) from one pass."""
 
     @property
     @abstractmethod
@@ -72,47 +69,44 @@ class LfmWaveform(WaveformKernel):
         """R(0) = A^2 T."""
         return self.amplitude**2 * self.duration
 
-    def _sin_ratio(self, x: np.ndarray) -> np.ndarray:
-        # sin(x)/x with series 1 - x^2/6 + x^4/120 below the switch point
-        small = np.abs(x) < _SMALL_ARG
-        safe = np.where(small, 1.0, x)
-        x2 = x * x
-        return np.where(small, 1.0 - x2 / 6.0 + x2 * x2 / 120.0, np.sin(safe) / safe)
-
-    def autocorr(self, tau):
+    def autocorr(self, tau, deriv: bool = False):
         """R(tau) = A^2 * T * [sin(x)/x] * exp(j*nu), x = pi*T*alpha*tau.
 
         nu(tau) = pi*(2*f0 + T*alpha)*tau - pi*alpha*tau^2.  Closed form of
-        the chirp self-product integrated over one pulse length.
+        the chirp self-product integrated over one pulse length.  With deriv,
+        returns (R, dR/dtau): the product rule on the sin-ratio and phase
+        factors, sharing x, nu, sin, cos and exp(j*nu) with R.
         """
-        t = np.asarray(tau, dtype=float)
-        a2 = self.amplitude**2
-        x = np.pi * self.duration * self.chirp_rate * t
-        nu = np.pi * (2.0 * self.f0 + self.duration * self.chirp_rate) * t - np.pi * self.chirp_rate * t * t
-        out = a2 * self.duration * self._sin_ratio(x) * np.exp(1j * nu)
-        return complex(out) if np.isscalar(tau) else out
-
-    def autocorr_deriv(self, tau):
-        """dR/dtau by the product rule on the sin-ratio and phase factors."""
-        t = np.asarray(tau, dtype=float)
+        shape = np.shape(tau)
+        t = np.asarray(tau, dtype=float).reshape(-1)  # 1-D, so the series can fill in by mask
         a2 = self.amplitude**2
         big_t = self.duration
         alpha = self.chirp_rate
         x = np.pi * big_t * alpha * t
         nu = np.pi * (2.0 * self.f0 + big_t * alpha) * t - np.pi * alpha * t * t
-        dnu = np.pi * (2.0 * self.f0 + big_t * alpha) - 2.0 * np.pi * alpha * t
+        # sin(x)/x, with the series 1 - x^2/6 + x^4/120 on the lags below the switch point
+        small = np.abs(x) < _SMALL_ARG
+        sin_x = np.sin(x)
+        ratio = sin_x / np.where(small, 1.0, x)
+        xs = x[small]
+        xs2 = xs * xs
+        ratio[small] = 1.0 - xs2 / 6.0 + xs2 * xs2 / 120.0
+        phase = np.exp(1j * nu)
+        r = (a2 * big_t * ratio * phase).reshape(shape)
+        if not deriv:
+            return complex(r) if np.isscalar(tau) else r
 
         # d/dtau of sin(x)/(pi*alpha*tau): exact T*cos(x)/tau - sin(x)/(pi*alpha*tau^2),
         # series T*pi*T*alpha*(-x/3 + x^3/30) near zero (both scale as x -> 0)
-        small = np.abs(x) < _SMALL_ARG
         safe_t = np.where(small, 1.0, t)
-        exact = big_t * np.cos(x) / safe_t - np.sin(x) / (np.pi * alpha * safe_t * safe_t)
-        series = big_t * np.pi * big_t * alpha * (-x / 3.0 + x**3 / 30.0)
-        d_ratio = np.where(small, series, exact)
-
-        phase = np.exp(1j * nu)
-        out = a2 * d_ratio * phase + 1j * dnu * a2 * big_t * self._sin_ratio(x) * phase
-        return complex(out) if np.isscalar(tau) else out
+        d_ratio = big_t * np.cos(x) / safe_t - sin_x / (np.pi * alpha * safe_t * safe_t)
+        d_ratio[small] = big_t * np.pi * big_t * alpha * (-xs / 3.0 + xs**3 / 30.0)
+        dnu = np.pi * (2.0 * self.f0 + big_t * alpha) - 2.0 * np.pi * alpha * t
+        rate = dnu * a2 * big_t * ratio  # real factors first: fewer complex products, same values
+        dr = (a2 * d_ratio * phase + 1j * rate * phase).reshape(shape)
+        if np.isscalar(tau):
+            return complex(r), complex(dr)
+        return r, dr
 
 
 def lfm_from_band(bandwidth: float, fc: float, duration: float = 1e-6, amplitude: float = 1.0) -> LfmWaveform:

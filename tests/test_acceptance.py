@@ -49,6 +49,9 @@ from conftest import (
     rel_err,
 )
 
+# every scenario here is end to end; `pytest -m "not slow"` leaves them out
+pytestmark = pytest.mark.slow
+
 
 def report(capsys, name, ok, detail):
     with capsys.disabled():

@@ -254,6 +254,10 @@ def test_fit_sequential(tmp_path):
     report = json.loads((out / "fit_report.json").read_text())
     assert report["strategy"] == "sequential"
     assert report["status"] in ("converged", "max_iters", "stalled")
+    # one status per phase, noncoherent first; the top-level status is the last phase's
+    assert len(report["phase_statuses"]) == 2
+    assert set(report["phase_statuses"]) <= {"converged", "max_iters", "stalled"}
+    assert report["phase_statuses"][-1] == report["status"]
     assert set(report["slots"]) == {"s0.s_re", "s0.s_im", "s0.rho_s"}
     assert report["phase_boundary"] is not None
     assert isinstance(report["mean_residual_power_dbw"], float)
@@ -282,6 +286,7 @@ def test_fit_coherent_only_phase_column(tmp_path):
     assert main(["fit", "--config", cfg, "--out", str(out), "--quiet"]) == 0
     report = json.loads((out / "fit_report.json").read_text())
     assert report["phase_boundary"] is None
+    assert report["phase_statuses"] == [report["status"]]
     _, rows = read_rows(out / "loss_trace.csv")
     assert all(r[2] == "coherent" for r in rows)
 

@@ -54,6 +54,26 @@ def test_line_search_evaluation_count():
     assert len(steps) <= 12
 
 
+def test_line_search_never_repeats_a_step():
+    # each initial step overshoots, so the bracket first shrinks; the step it
+    # rejected last closes the bracket and is not evaluated again
+    def loss(s):
+        return (s - 3.0) ** 2
+
+    for initial in (100.0, 7.0, 6.5):
+        assert loss(initial) >= loss(0.0)
+        steps = []
+
+        def f(s):
+            steps.append(s)
+            return loss(s)
+
+        step, _, stalled = line_search(f, loss(0.0), initial_step=initial)
+        assert not stalled
+        assert step == pytest.approx(3.0, rel=1e-4)
+        assert len(steps) == len(set(steps)), steps
+
+
 def test_line_search_stalls_on_increase():
     step, loss, stalled = line_search(lambda s: s * s + 1.0 if s > 0.0 else 1.0, 1.0, initial_step=1.0)
     assert stalled
@@ -176,6 +196,18 @@ def test_sequential_fit_merges_phases(noisy_reference_fit):
     fine = losses[report.phase_boundary :]
     assert np.all(np.diff(rough) <= 0.0)
     assert np.all(np.diff(fine) <= 0.0)
+
+
+def test_sequential_fit_keeps_each_phase_status():
+    # a noncoherent phase without budget ends at max_iters; the coherent phase
+    # then starts at the truth of noise-free data and converges; both are kept
+    wf, grid, line, truth = one_sphere_scenario()
+    obs = [Observation(synthesize_profiles(truth, wf, grid, line)[0], line, grid)]
+    report = sequential_fit(obs, truth, wf, rough_cfg=DescentConfig(max_iters=0), fine_cfg=DescentConfig())
+    assert report.phase_statuses == ("max_iters", "converged")
+    assert report.status == "converged"
+    single = gradient_descent(obs, truth, wf, "noncoherent", cfg=DescentConfig(max_iters=0))
+    assert single.phase_statuses == (single.status,) == ("max_iters",)
 
 
 def test_fit_report_counts_evaluations(noisy_reference_fit, monkeypatch):

@@ -6,6 +6,7 @@ import pytest
 from scatterfit import (
     DegenerateGeometryError,
     FixedAmplitude,
+    NoiseSpec,
     Observation,
     PointScatteringModel,
     RangeGrid,
@@ -22,9 +23,10 @@ from scatterfit import (
     noncoherent_loss_gradient,
     profile_jacobians,
     sightline_from_angles,
+    synthesize_pattern,
     synthesize_profiles,
 )
-from conftest import fd_gradient, reference_truth, random_line, random_model, rel_err
+from conftest import POSITION_KINDS, fd_gradient, reference_truth, random_line, random_model, random_scatterer, rel_err
 
 M = 12
 
@@ -266,3 +268,26 @@ def test_batch_validation(wf_unit, rng):
     wd = WeightMatrix.diagonal(np.ones(9))
     with pytest.raises(ValueError):
         batch_gradient([obs], model, wf_unit, wd, "coherent")
+
+
+def test_loss_is_exactly_zero_at_the_truth(wf_unit, grid_mid, rng):
+    # noise-free data and the model that made it give a loss of exactly 0.0,
+    # not a rounding residue: the pattern and the batch run one forward pass
+    for trial in range(6):
+        kinds = list(POSITION_KINDS) + [POSITION_KINDS[trial % 3]]
+        rng.shuffle(kinds)
+        truth = PointScatteringModel(tuple(random_scatterer(rng, k) for k in kinds))
+        lines = [random_line(rng) for _ in range(5)]
+        shared = list(synthesize_pattern(truth, wf_unit, grid_mid, lines, NoiseSpec(0.0, seed=trial)).observations)
+        per_line = [
+            synthesize_pattern(
+                truth, wf_unit, RangeGrid(grid_mid.b0 + 0.05 * k, grid_mid.delta * (1.0 + 0.01 * k), grid_mid.m),
+                [line], NoiseSpec(0.0, seed=trial),
+            ).observations[0]
+            for k, line in enumerate(lines)
+        ]
+        assert len({o.grid for o in per_line}) == len(lines)
+        for obs in (shared, per_line):
+            for kind in ("coherent", "noncoherent"):
+                for w in (WeightMatrix.identity(), WeightMatrix.from_sigma2(0.01)):
+                    assert batch_loss(obs, truth, wf_unit, w, kind) == 0.0

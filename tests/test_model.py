@@ -10,6 +10,7 @@ from scatterfit import (
     PointScatteringModel,
     RangeGrid,
     Scatterer,
+    SlippingRing,
     Spherical,
     profile_jacobians,
     sightline_from_angles,
@@ -50,6 +51,26 @@ def test_pack_unpack_round_trip(rng):
     assert np.array_equal(model.pack(), theta)
     with pytest.raises(ValueError):
         model.unpack(np.zeros(13))
+
+
+def test_unpack_and_the_forward_pass_build_no_scatterer(wf_unit, grid_mid, rng, monkeypatch):
+    model = random_model(rng, n=4)
+    theta = model.pack() + 0.01
+    built = []
+    for cls in (Scatterer, FixedAmplitude, FixedCylindrical, SlippingRing, Spherical):
+        def counting(self, *args, _init=cls.__init__, **kwargs):
+            built.append(type(self))
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    moved = model.unpack(theta)
+    profile_jacobians(moved, wf_unit, grid_mid, [random_line(rng) for _ in range(3)])
+    assert built == []
+    # the scatterers are rebuilt from theta on first use, and only then
+    assert np.array_equal(np.concatenate([s.params for s in moved.scatterers]), theta)
+    assert built.count(Scatterer) == 4
+    assert moved == model.unpack(theta) and hash(moved) == hash(model.unpack(theta))
+    assert moved != model
 
 
 def test_slot_labels():
@@ -105,7 +126,8 @@ def test_profile_peaks_near_projected_ranges(wf_unit, grid_mid):
         r = -(s.position(line).p @ line.vec)
         idx = int(np.argmin(np.abs(bins - r)))
         window = g[max(idx - 1, 0) : idx + 2]
-        assert window.max() >= 0.6 * abs(s.amplitude_model.value()) * wf_unit.peak
+        amp = s.amplitude_model
+        assert window.max() >= 0.6 * abs(amp.values(np.array([amp.params]), line.vec[None, :])[0, 0]) * wf_unit.peak
 
 
 def test_multi_aspect_stack_matches_single(wf_unit, grid_mid, rng):

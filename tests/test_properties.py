@@ -13,6 +13,7 @@ from scatterfit import (
     C_LIGHT,
     FixedAmplitude,
     FixedCylindrical,
+    LfmWaveform,
     LineSearchConfig,
     Observation,
     PointScatteringModel,
@@ -35,12 +36,17 @@ from scatterfit import (
     synthesize_profiles,
 )
 from conftest import POSITION_KINDS, rel_err
+from scatterfit.waveform import _SMALL_ARG
 
 PROPERTY = settings(max_examples=60, deadline=None)
 
 
 def _real(lo, hi):
     return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+def _log_uniform(lo_exp, hi_exp):
+    return st.floats(lo_exp, hi_exp).map(lambda e: 10.0**e)
 
 
 @st.composite
@@ -148,6 +154,74 @@ def test_superposition_over_scatterers(wf_unit, model, lines, grid):
     assert rel_err(whole, sum(parts)) <= 1e-12
 
 
+# 0-6 scatterers, the position kinds in any order and mix
+mixed_models = st.lists(scatterers(), min_size=0, max_size=6).map(lambda s: PointScatteringModel(tuple(s)))
+
+
+@PROPERTY
+@given(mixed_models, line_stacks, bin_counts.flatmap(grids))
+def test_compiled_pass_equals_single_scatterer_models(wf_unit, model, lines, grid):
+    # the per-type groups reassemble exactly what each scatterer gives alone:
+    # profiles add, and Jacobian columns sit in slot order
+    g, jac = profile_jacobians(model, wf_unit, grid, lines)
+    assert g.shape == (len(lines), grid.m) and jac.shape == (len(lines), grid.m, model.n_params)
+    if not model.scatterers:
+        assert not np.any(g)
+        return
+    parts = [profile_jacobians(PointScatteringModel((s,)), wf_unit, grid, lines) for s in model.scatterers]
+    assert rel_err(g, sum(p[0] for p in parts)) <= 1e-12
+    assert rel_err(jac, np.concatenate([p[1] for p in parts], axis=-1)) <= 1e-12
+    # an unpacked model shares the compiled layout and evaluates the same
+    same = model.unpack(model.pack())
+    assert np.array_equal(synthesize_profiles(same, wf_unit, grid, lines), g)
+    assert all(a == b for a, b in zip(same.scatterers, model.scatterers, strict=True))
+
+
+@st.composite
+def chirps(draw):
+    """Chirps of either sweep direction, with the start frequency offset anywhere within +-B."""
+    duration = draw(_log_uniform(-7, -5))
+    bandwidth = draw(_log_uniform(7, 9))
+    rate = draw(st.sampled_from((1.0, -1.0))) * bandwidth / duration
+    f0 = draw(_real(-1.0, 1.0)) * bandwidth
+    return LfmWaveform(draw(_real(0.5, 1000.0)), duration, f0, rate, 3e9)
+
+
+def _switch_lag(wf):
+    """The lag where |pi*T*alpha*tau| reaches the small-argument switch."""
+    return _SMALL_ARG / (np.pi * wf.duration * abs(wf.chirp_rate))
+
+
+# lags in units of the switch lag: zero, both sides of the switch, and well past it
+switch_lags = st.lists(
+    st.one_of(st.just(0.0), _real(-3.0, 3.0), _real(1.0 - 1e-6, 1.0 + 1e-6), _real(-50.0, 50.0)),
+    min_size=1,
+    max_size=20,
+)
+
+
+@PROPERTY
+@given(chirps(), switch_lags)
+def test_fused_kernel_matches_the_plain_kernel(wf, units):
+    tau = _switch_lag(wf) * np.array(units)
+    r, _ = wf.autocorr(tau, deriv=True)
+    assert np.array_equal(r, wf.autocorr(tau))
+
+
+@PROPERTY
+@given(chirps(), switch_lags)
+def test_kernel_derivative_matches_central_differences(wf, units):
+    tau = _switch_lag(wf) * np.array(units)
+    _, dr = wf.autocorr(tau, deriv=True)
+    # R varies on the scale of 1/(pi*T*|alpha|) and of the phase rate; a step
+    # far below both keeps truncation and rounding under 1e-8 of dR's scale
+    # (worst of 4000 examples: 2.8e-11)
+    rate = np.pi * (wf.duration * abs(wf.chirp_rate) + abs(2.0 * wf.f0 + wf.duration * wf.chirp_rate))
+    h = 1e-5 / rate
+    fd = (wf.autocorr(tau + h) - wf.autocorr(tau - h)) / (2.0 * h)
+    assert np.max(np.abs(dr - fd)) <= 1e-8 * wf.peak * rate
+
+
 @PROPERTY
 @given(models, line_stacks, bin_counts.flatmap(grids), _real(-3.0, 3.0))
 def test_profiles_are_linear_in_the_amplitudes(wf_unit, model, lines, grid, c):
@@ -196,10 +270,6 @@ def test_range_shift_turns_only_the_carrier(wf_unit, model, azimuths, elevation,
     got = synthesize_profiles(PointScatteringModel(tuple(moved)), wf_unit, shifted_grid, lines)
     want = np.exp(1j * 4.0 * np.pi * wf_unit.fc * d / C_LIGHT) * synthesize_profiles(model, wf_unit, grid, lines)
     assert np.max(np.abs(got - want)) <= 1e-12 * wf_unit.peak
-
-
-def _log_uniform(lo_exp, hi_exp):
-    return st.floats(lo_exp, hi_exp).map(lambda e: 10.0**e)
 
 
 @st.composite
@@ -251,6 +321,7 @@ def test_line_search_finds_the_minimizer(ray, factor, tol):
     assert loss == f(step)
     assert loss <= f(0.0)
     assert min(steps) > 0.0
+    assert len(steps) == len(set(steps))  # no step is evaluated twice
 
 
 @LINE_SEARCH

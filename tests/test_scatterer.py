@@ -57,11 +57,13 @@ def test_validate_rejects_negative_radii():
 
 
 def test_amplitude_value_and_gradient(rng):
-    line = random_line(rng)
-    s = Scatterer(FixedAmplitude(1.3, -0.7), Spherical(1.0))
-    assert s.amplitude_model.value() == complex(1.3, -0.7)
-    grad = s.amplitude_model.gradient(line.vec[None, :])
-    assert np.array_equal(grad, [1.0 + 0.0j, 0.0 + 1.0j])
+    lines = np.stack([random_line(rng).vec for _ in range(3)])
+    # two scatterers' slot rows in one call: one row of values per scatterer
+    slots = np.array([FixedAmplitude(1.3, -0.7).params, FixedAmplitude(0.2, 0.5).params])
+    values = np.broadcast_to(FixedAmplitude.values(slots, lines), (2, 3))
+    assert np.all(values[0] == complex(1.3, -0.7)) and np.all(values[1] == complex(0.2, 0.5))
+    grad = np.broadcast_to(FixedAmplitude.gradients(slots, lines), (2, 3, 2))
+    assert np.array_equal(grad, np.broadcast_to([1.0 + 0.0j, 0.0 + 1.0j], (2, 3, 2)))
 
 
 def test_position_jacobian_against_finite_differences(rng):
@@ -78,16 +80,18 @@ def test_position_jacobian_against_finite_differences(rng):
         na = s.amplitude_model.n_slots
         # amplitude slots never move the point; the model's Jacobian covers the rest
         assert np.array_equal(fd[:, :na], np.zeros((3, na)))
-        got = s.position_model.jacobians(line.vec[None, :])[0]
+        pm = s.position_model
+        got = pm.jacobians(np.array([pm.params]), line.vec[None, :])[0, 0]
         err = np.abs(got - fd[:, na:]).max()
         assert err <= 1e-6 * max(np.abs(fd).max(), 1.0), f"{kind}: {err}"
 
 
 def test_fixed_cylindrical_position():
-    s = FixedCylindrical(2.0, np.pi / 2.0, -1.0)
+    slots = np.array([[2.0, np.pi / 2.0, -1.0], [1.0, np.pi, 0.5]])
     lines = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-    p = s.positions(lines)
-    assert np.allclose(p, [[0.0, 2.0, -1.0], [0.0, 2.0, -1.0]], atol=1e-12)
+    p = np.broadcast_to(FixedCylindrical.positions(slots, lines), (2, 2, 3))
+    assert np.allclose(p[0], [[0.0, 2.0, -1.0], [0.0, 2.0, -1.0]], atol=1e-12)
+    assert np.allclose(p[1], [[-1.0, 0.0, 0.5], [-1.0, 0.0, 0.5]], atol=1e-12)
 
 
 def test_slipping_range_in_xz_plane(rng):
@@ -103,19 +107,20 @@ def test_slipping_range_in_xz_plane(rng):
 
 
 def test_slipping_tracks_azimuth(rng):
-    ring = SlippingRing(1.5, 0.4)
+    slots = np.array([SlippingRing(1.5, 0.4).params])
     for az in (0.0, 1.0, 2.5, -2.0):
         line = sightline_from_angles(az, 0.3)
-        p = ring.positions(line.vec[None, :])[0]
+        p = SlippingRing.positions(slots, line.vec[None, :])[0, 0]
         assert np.arctan2(p[1], p[0]) == pytest.approx(az, abs=1e-12)
         assert np.hypot(p[0], p[1]) == pytest.approx(1.5)
         assert p[2] == 0.4
 
 
 def test_slipping_degenerate_sightline():
-    ring = SlippingRing(1.0, 0.0)
-    with pytest.raises(DegenerateGeometryError):
-        ring.positions(np.array([[0.0, 0.0, 1.0]]))
+    slots = np.array([SlippingRing(1.0, 0.0).params])
+    for method in (SlippingRing.positions, SlippingRing.jacobians):
+        with pytest.raises(DegenerateGeometryError):
+            method(slots, np.array([[0.0, 0.0, 1.0]]))
     s = Scatterer(FixedAmplitude(1.0, 0.0), SlippingRing(1.0, 0.0))
     with pytest.raises(DegenerateGeometryError):
         s.position(SightLine(np.array([0.0, 0.0, -1.0])))
