@@ -493,6 +493,7 @@ def _fit_report_json(report: FitReport, model: PointScatteringModel, strategy: s
         "phase_statuses": list(report.phase_statuses),
         "iterations": report.iterations,
         "loss_evals": report.loss_evals,
+        "phase_loss_evals": list(report.phase_loss_evals),
         "grad_evals": report.grad_evals,
         "phase_boundary": report.phase_boundary,
         "final_loss": report.final_loss,

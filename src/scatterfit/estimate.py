@@ -70,6 +70,7 @@ class FitReport:
     loss_evals: int  # batch_loss calls, line searches included
     grad_evals: int  # batch_gradient calls
     phase_statuses: tuple[str, ...]  # one status per phase, in phase order
+    phase_loss_evals: tuple[int, ...]  # batch_loss calls per phase, in phase order
     phase_boundary: int | None = None  # trace index where the coherent phase starts
 
     @property
@@ -204,8 +205,13 @@ def gradient_descent(
     """Minimize one loss by steepest descent with exact line search.
 
     Each iteration steps theta -> theta - eta * grad, with eta chosen by
-    line_search seeded at 0.1 * loss / |grad|^2.  Stops on a relative
-    gradient-norm drop, on a flat loss window, or at max_iters.
+    line_search.  The search is seeded at 0.1 * loss / |grad|^2, except on
+    the coherent loss from the third iteration on, where it is seeded at the
+    step accepted two iterations back: steepest descent with exact steps
+    zig-zags, so its step lengths alternate.  The noncoherent loss keeps the
+    far seed, whose first probe can reach a deeper basin along the ray.
+    Stops on a relative gradient-norm drop, on a flat loss window, or at
+    max_iters.
     """
     obs = _as_batch(_as_observations(data))  # stacked and checked once per fit
     w = w or WeightMatrix.identity()
@@ -228,21 +234,24 @@ def gradient_descent(
     gnorm0 = gnorm
     losses = [current]
     gnorms = [gnorm]
+    steps = []  # accepted step lengths
     status = "max_iters"
     iterations = 0
     for _ in range(cfg.max_iters):
         if gnorm <= cfg.grad_norm_tol * gnorm0:
             status = "converged"
             break
+        if kind == "coherent" and len(steps) >= 2:
+            seed = steps[-2]
+        else:
+            seed = 0.1 * current / gnorm**2
         eta, stepped_loss, stalled = line_search(
-            lambda s: loss_at(theta - s * grad),
-            current,
-            0.1 * current / gnorm**2,
-            cfg.line_search,
+            lambda s: loss_at(theta - s * grad), current, seed, cfg.line_search
         )
         if stalled:
             status = "stalled"
             break
+        steps.append(eta)
         theta = theta - eta * grad
         current = stepped_loss
         grad = grad_at(theta)
@@ -267,6 +276,7 @@ def gradient_descent(
         loss_evals=loss_evals,
         grad_evals=grad_evals,
         phase_statuses=(status,),
+        phase_loss_evals=(loss_evals,),
     )
 
 
@@ -285,9 +295,9 @@ def sequential_fit(
     The combined trace concatenates both phases; phase_boundary is the index
     of the first coherent entry (the two phases score different losses, so
     the trace is only monotone within a phase). status is the coherent
-    phase's, and phase_statuses holds both, noncoherent first. rough_cfg
-    and fine_cfg override cfg for their phase when the two need different
-    budgets.
+    phase's; phase_statuses and phase_loss_evals hold one entry per phase,
+    noncoherent first. rough_cfg and fine_cfg override cfg for their phase
+    when the two need different budgets.
     """
     rough = gradient_descent(data, model0, wf, "noncoherent", w, rough_cfg or cfg)
     fine = gradient_descent(data, rough.model, wf, "coherent", w, fine_cfg or cfg)
@@ -303,6 +313,7 @@ def sequential_fit(
         loss_evals=rough.loss_evals + fine.loss_evals,
         grad_evals=rough.grad_evals + fine.grad_evals,
         phase_statuses=rough.phase_statuses + fine.phase_statuses,
+        phase_loss_evals=rough.phase_loss_evals + fine.phase_loss_evals,
         phase_boundary=len(rough.loss_trace),
     )
 

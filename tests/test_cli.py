@@ -264,6 +264,8 @@ def test_fit_sequential(tmp_path):
     # one gradient at each phase's start and one per accepted step
     assert report["grad_evals"] == report["iterations"] + 2
     assert report["loss_evals"] > report["grad_evals"]
+    assert len(report["phase_loss_evals"]) == 2
+    assert sum(report["phase_loss_evals"]) == report["loss_evals"]
 
     header, rows = read_rows(out / "loss_trace.csv")
     assert header == "iteration,loss,phase"
@@ -287,6 +289,7 @@ def test_fit_coherent_only_phase_column(tmp_path):
     report = json.loads((out / "fit_report.json").read_text())
     assert report["phase_boundary"] is None
     assert report["phase_statuses"] == [report["status"]]
+    assert report["phase_loss_evals"] == [report["loss_evals"]]
     _, rows = read_rows(out / "loss_trace.csv")
     assert all(r[2] == "coherent" for r in rows)
 

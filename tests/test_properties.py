@@ -307,7 +307,7 @@ def _bracket_width(steps, a):
 
 LINE_SEARCH = settings(max_examples=300, deadline=None)
 tolerances = _log_uniform(-6, -2)
-initial_factors = _log_uniform(-3, 3)
+initial_factors = _log_uniform(-3, 9)  # the paper's seed overshoots the accepted step up to ~3e8-fold
 
 
 @LINE_SEARCH
