@@ -475,10 +475,11 @@ def cmd_sweep_loss(cfg, out_dir: str, quiet: bool, scatterer: int, slot: str, ra
         theta = theta0.copy()
         theta[j] += off
         g, jac = profile_jacobians(model.unpack(theta), wf, grid, lmat)
+        column = jac[..., [j]]  # only the swept slot's gradient entry is written
         cl = coherent_loss(zs, g, w)
         ncl = noncoherent_loss(zs, g, w)
-        cg = coherent_loss_gradient(zs, g, jac, w)[j]
-        ncg = noncoherent_loss_gradient(zs, g, jac, w, clamp)[j]
+        cg = coherent_loss_gradient(zs, g, column, w)[0]
+        ncg = noncoherent_loss_gradient(zs, g, column, w, clamp)[0]
         rows.append(",".join(_fmt(v) for v in (off, cl, ncl, cg, ncg)))
     _write(out_dir, "sweep.csv", "\n".join(rows) + "\n", quiet)
     _write_echo(out_dir, cfg, quiet)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -27,6 +28,12 @@ _TOL_FLOOR = 8.0 * float(np.finfo(float).eps)  # narrowest relative bracket floa
 _COND_LIMIT = 1e12
 
 
+def _is_count(v) -> bool:
+    """An integer (Python or numpy), not a bool, not a float."""
+    return isinstance(v, Integral) and not isinstance(v, bool)
+
+
+# Each check is written so that nan fails it: every comparison with nan is false.
 @dataclass(frozen=True)
 class LineSearchConfig:
     bracket_growth: float = 2.0
@@ -34,12 +41,12 @@ class LineSearchConfig:
     section_tol: float = 1e-4
 
     def __post_init__(self):
-        if self.bracket_growth <= 1.0:
-            raise ValueError("bracket growth must be > 1")
-        if self.max_bracket_steps < 1:
-            raise ValueError("need at least one bracket step")
-        if self.section_tol <= 0.0:
-            raise ValueError("section tolerance must be > 0")
+        if not (1.0 < self.bracket_growth < math.inf):
+            raise ValueError(f"bracket growth must be finite and > 1, got {self.bracket_growth}")
+        if not (_is_count(self.max_bracket_steps) and self.max_bracket_steps >= 1):
+            raise ValueError(f"need an integer number of bracket steps >= 1, got {self.max_bracket_steps!r}")
+        if not (0.0 < self.section_tol < math.inf):
+            raise ValueError(f"section tolerance must be finite and > 0, got {self.section_tol}")
 
 
 @dataclass(frozen=True)
@@ -50,10 +57,13 @@ class DescentConfig:
     line_search: LineSearchConfig = field(default_factory=LineSearchConfig)
 
     def __post_init__(self):
-        if self.max_iters < 0:
-            raise ValueError("max_iters must be >= 0")
-        if self.loss_rel_tol < 0.0 or self.grad_norm_tol < 0.0:
-            raise ValueError("tolerances must be >= 0")
+        if not (_is_count(self.max_iters) and self.max_iters >= 0):
+            raise ValueError(f"max_iters must be an integer >= 0, got {self.max_iters!r}")
+        if not (0.0 <= self.loss_rel_tol < math.inf and 0.0 <= self.grad_norm_tol < math.inf):
+            raise ValueError(
+                f"tolerances must be finite and >= 0, got loss_rel_tol={self.loss_rel_tol}, "
+                f"grad_norm_tol={self.grad_norm_tol}"
+            )
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,12 @@ Two flavors:
 * noncoherent: residual on the sample moduli, (|z|-|g|)^T W (|z|-|g|);
   phase-blind, much smoother, used to get within the coherent capture zone.
 
-Gradients are exact, built from the profile Jacobian.  The noncoherent
-modulus is not differentiable at |g| = 0; bins below a small clamp get a
-zero subgradient there.
+Gradients are exact, built from the profile Jacobian G.  Both are
+2 Re{G^T v} for one vector v over the bins, computed as one matrix-vector
+product over the flattened (K*m, P) Jacobian: v = conj(W (g - z)) for the
+coherent loss, and v = conj(g/|g|) W (|g| - |z|) for the noncoherent one.
+The noncoherent modulus is not differentiable at |g| = 0; bins below a small
+clamp get a zero subgradient there.
 """
 
 from __future__ import annotations
@@ -75,10 +78,10 @@ def _quad(w: WeightMatrix, r: np.ndarray) -> float:
     return float(np.sum((np.conj(r) * w.apply(r)).real, axis=-1).sum())
 
 
-def _contract(jac: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """sum_k J_k^T d_k: jac (m, P) or (K, m, P) against d (m,) or (K, m), giving (P,)."""
-    m, p = jac.shape[-2:]
-    return np.einsum("kmp,km->p", jac.reshape(-1, m, p), d.reshape(-1, m))
+def _gradient(jac: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """2 Re{J^T v}, (P,): jac (m, P) or (K, m, P) against v (m,) or (K, m), as one
+    matrix-vector product over the flattened (K*m, P) Jacobian."""
+    return 2.0 * (jac.reshape(-1, jac.shape[-1]).T @ v.reshape(-1)).real
 
 
 @dataclass(frozen=True)
@@ -109,9 +112,8 @@ def coherent_loss(z: np.ndarray, g: np.ndarray, w: WeightMatrix) -> float:
 
 
 def coherent_loss_gradient(z: np.ndarray, g: np.ndarray, jac: np.ndarray, w: WeightMatrix) -> np.ndarray:
-    """2 Re{G^H W (g - z)}, the exact loss gradient in the model slots."""
-    res = w.apply(np.asarray(g) - np.asarray(z))
-    return 2.0 * _contract(np.conj(jac), res).real
+    """2 Re{G^H W (g - z)} = 2 Re{G^T conj(W (g - z))}, the exact loss gradient in the model slots."""
+    return _gradient(jac, np.conj(w.apply(np.asarray(g) - np.asarray(z))))
 
 
 def noncoherent_loss(z: np.ndarray, g: np.ndarray, w: WeightMatrix) -> float:
@@ -119,23 +121,19 @@ def noncoherent_loss(z: np.ndarray, g: np.ndarray, w: WeightMatrix) -> float:
     return _quad(w, np.abs(z) - np.abs(g))
 
 
-def _modulus_direction(g: np.ndarray, clamp: float) -> tuple[np.ndarray, np.ndarray]:
-    """Re{g}/|g| and Im{g}/|g| with a zero subgradient below the clamp."""
-    mag = np.abs(g)
-    floor = clamp if clamp > 0.0 else np.finfo(float).tiny
-    live = mag >= floor
-    safe = np.where(live, mag, 1.0)
-    return np.where(live, g.real / safe, 0.0), np.where(live, g.imag / safe, 0.0)
-
-
 def noncoherent_loss_gradient(
     z: np.ndarray, g: np.ndarray, jac: np.ndarray, w: WeightMatrix, clamp: float = 0.0
 ) -> np.ndarray:
-    """2 (U_r G_r + U_i G_i)^T W (|g| - |z|) with U the modulus direction."""
+    """2 (U_r G_r + U_i G_i)^T W (|g| - |z|) with U = g/|g| the modulus direction.
+
+    That is 2 Re{G^T v} with v = conj(U) W (|g| - |z|); bins with |g| below
+    the clamp get a zero subgradient.
+    """
     g = np.asarray(g)
-    ur, ui = _modulus_direction(g, clamp)
-    slope = ur[..., None] * jac.real + ui[..., None] * jac.imag
-    return 2.0 * _contract(slope, w.apply(np.abs(g) - np.abs(z)))
+    mag = np.abs(g)
+    live = mag >= (clamp if clamp > 0.0 else np.finfo(float).tiny)
+    per_mag = np.divide(w.apply(mag - np.abs(z)), mag, out=np.zeros(mag.shape), where=live)
+    return _gradient(jac, np.conj(g) * per_mag)
 
 
 def noncoherent_clamp(wf: WaveformKernel) -> float:

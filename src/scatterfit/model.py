@@ -18,8 +18,9 @@ A model is compiled once into a layout that groups its scatterers by
 primitive type.  The forward pass then has no loop over scatterers: each
 type's primitive evaluates the slot rows of all its scatterers in one call,
 projected ranges and amplitudes are (N, K) arrays, the kernel runs once on
-the (N, K, m) lags, the profiles are a sum over N, and the Jacobian is
-written one type group at a time.
+the (N, K, m) lags, the profiles are a sum over N, and each scatterer's
+block of Jacobian columns is written in one product into a slot-major
+(P, K, m) array, whose (K, m, P) view is returned.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from numbers import Integral
 
 import numpy as np
@@ -66,10 +68,11 @@ class RangeGrid:
 class _Layout:
     """A model's structure, compiled once: per-scatterer slot slices and per-type groups.
 
-    amplitudes and positions hold one (kind, rows, cols) triple per primitive
-    type, in order of first appearance: the primitive class, the (n,)
-    indices of its scatterers, and the (n, n_slots) theta columns of their
-    slots.  prototypes are the scatterers the layout was compiled from;
+    amplitudes and positions hold one (kind, rows, cols, blocks) tuple per
+    primitive type, in order of first appearance: the primitive class, the
+    (n,) indices of its scatterers, the (n, n_slots) theta columns of their
+    slots, and per scatterer its index and the slice of those (consecutive)
+    columns.  prototypes are the scatterers the layout was compiled from;
     every model sharing it rebuilds its own scatterers from them and its
     theta.
     """
@@ -87,15 +90,17 @@ class _Layout:
         )
 
     @staticmethod
-    def _groups(parts) -> tuple[tuple[type, np.ndarray, np.ndarray], ...]:
+    def _groups(parts) -> tuple[tuple[type, np.ndarray, np.ndarray, tuple[tuple[int, slice], ...]], ...]:
         """Group (primitive, theta column of its first slot) pairs, one per scatterer, by type."""
         members: dict[type, list[tuple[int, int]]] = {}
         for index, (prim, first) in enumerate(parts):
             members.setdefault(type(prim), []).append((index, first))
         groups = []
         for kind, rows in members.items():
+            width = len(kind.slot_names)
             index, first = np.array(rows, dtype=np.intp).T
-            groups.append((kind, index, first[:, None] + np.arange(len(kind.slot_names))))
+            blocks = tuple((i, slice(f, f + width)) for i, f in rows)
+            groups.append((kind, index, first[:, None] + np.arange(width), blocks))
         return tuple(groups)
 
 
@@ -174,7 +179,7 @@ def _as_line_stack(lines) -> np.ndarray:
 def _projected_ranges(layout: _Layout, theta: np.ndarray, lines: np.ndarray) -> np.ndarray:
     """p.l for every scatterer and sight line, (N, K), with the scatterer named on error."""
     pl = np.empty((len(layout.prototypes), lines.shape[0]))
-    for kind, rows, cols in layout.positions:
+    for kind, rows, cols, _ in layout.positions:
         try:
             pos = kind.positions(theta[cols], lines)
         except DegenerateGeometryError as err:
@@ -183,43 +188,60 @@ def _projected_ranges(layout: _Layout, theta: np.ndarray, lines: np.ndarray) -> 
     return pl
 
 
+def _per_row(values: np.ndarray, n: int):
+    """The n leading-axis rows of a primitive's result, whose leading axis may be 1 and broadcast."""
+    return repeat(values[0], n) if len(values) == 1 else values
+
+
 def _forward(model: PointScatteringModel, wf: WaveformKernel, bins: np.ndarray, lines, jacobian: bool):
     """Profiles (K, m) and, when asked, Jacobians (K, m, P) for all scatterers at once.
 
     bins holds the bin ranges, (m,) for a grid shared by every sight line or
     (K, m) for one grid per sight line.  The kernel runs once on the
-    (N, K, m) lags; the profile is the sum over the N scatterers, and the
-    Jacobian is written one primitive type at a time through a slot-major
-    view of the (K, m, P) result.
+    (N, K, m) lags; the profile is the sum over the N scatterers.  The
+    Jacobian lives in a slot-major (P, K, m) array: each scatterer's
+    consecutive amplitude slots, then its position slots, are one block of
+    rows written by one product, and the (K, m, P) view of that array is
+    returned.
     """
     layout, theta = model._layout, model._theta
     lmat = _as_line_stack(lines)
     n, k = len(layout.prototypes), lmat.shape[0]
     pl = _projected_ranges(layout, theta, lmat)
     a = np.empty((n, k), dtype=complex)
-    for kind, rows, cols in layout.amplitudes:
+    for kind, rows, cols, _ in layout.amplitudes:
         a[rows] = kind.values(theta[cols], lmat)
     k4 = 4.0 * np.pi * wf.fc / C_LIGHT
     gamma = np.exp(1j * k4 * pl)
     ag = a * gamma
-    tau = 2.0 * (bins + pl[:, :, None]) / C_LIGHT
+    tau = bins + pl[:, :, None]
+    tau *= 2.0
+    tau /= C_LIGHT
     if not jacobian:
         return (ag[:, :, None] * wf.autocorr(tau)).sum(axis=0), None
+    # Products of two complex arrays always go to an output distinct from both
+    # operands: numpy may pick another loop (with other rounding) when the
+    # output aliases an input.  Scaling by a real, or by a purely imaginary
+    # scalar, rounds the same either way, so it is done in place.
     r, dr = wf.autocorr(tau, deriv=True)
-    out = (ag[:, :, None] * r).sum(axis=0)
-    jac = np.empty((k, bins.shape[-1], layout.n_params), dtype=complex)
-    by_slot = jac.transpose(2, 0, 1)  # (P, K, m) view: one slot's block per row
+    scratch = ag[:, :, None] * r
+    out = scratch.sum(axis=0)
+    by_slot = np.empty((layout.n_params, k, bins.shape[-1]), dtype=complex)  # one slot's (K, m) block per row
     # d g / d(amplitude slots) = gamma * R * da/dtheta
-    gr = gamma[:, :, None] * r
-    for kind, rows, cols in layout.amplitudes:
-        grad = kind.gradients(theta[cols], lmat)
-        by_slot[cols] = gr[rows][:, None] * grad.transpose(0, 2, 1)[..., None]
+    gr = np.multiply(gamma[:, :, None], r, out=scratch)
+    for kind, _, cols, blocks in layout.amplitudes:
+        grad = kind.gradients(theta[cols], lmat).transpose(0, 2, 1)[..., None]
+        for (row, span), d in zip(blocks, _per_row(grad, len(blocks))):
+            np.multiply(gr[row], d, out=by_slot[span])
     # d g / d(position slots) = a * gamma * (j*k4*R + 2/c * dR/dtau) * d(p.l)/dtheta
-    radial = ag[:, :, None] * (1j * k4 * r + (2.0 / C_LIGHT) * dr)
-    for kind, rows, cols in layout.positions:
-        u = np.einsum("nkij,ki->nkj", kind.jacobians(theta[cols], lmat), lmat)
-        by_slot[cols] = radial[rows][:, None] * u.transpose(0, 2, 1)[..., None]
-    return out, jac
+    d_range = np.multiply(1j * k4, r, out=r)  # d(gamma*R)/d(p.l) / gamma
+    d_range += np.multiply(2.0 / C_LIGHT, dr, out=dr)
+    radial = np.multiply(ag[:, :, None], d_range, out=scratch)
+    for kind, _, cols, blocks in layout.positions:
+        u = np.einsum("nkij,ki->nkj", kind.jacobians(theta[cols], lmat), lmat).transpose(0, 2, 1)[..., None]
+        for (row, span), d in zip(blocks, _per_row(u, len(blocks))):
+            np.multiply(radial[row], d, out=by_slot[span])
+    return out, by_slot.transpose(1, 2, 0)
 
 
 def _grid_bins(grid: RangeGrid | Sequence[RangeGrid]) -> np.ndarray:
@@ -246,6 +268,7 @@ def profile_jacobians(
     """Profiles (K, m) and d(profile)/d(slots) (K, m, P) for a stack of sight lines.
 
     grid is as for ``synthesize_profiles``, and the profiles are bit-identical
-    to it.
+    to it.  The Jacobian is a view of a slot-major array, so each slot's
+    (K, m) block is contiguous; ``jac.reshape(-1, P)`` is still a view.
     """
     return _forward(model, wf, _grid_bins(grid), lines, jacobian=True)

@@ -3,7 +3,9 @@
 A range profile sample is a sum of scaled, delayed copies of the transmit
 pulse autocorrelation, so synthesis and differentiation only ever need the
 kernel R(tau) and its lag derivative dR/dtau; ``autocorr(tau, deriv=True)``
-returns both from one pass over the lags.
+returns both from one pass over the lags.  The chirp kernel fills its phase
+factor exp(j*nu) in as cos(nu) + j*sin(nu), scales it in place, and runs the
+small-lag series only on calls that have a lag below the switch point.
 """
 
 from __future__ import annotations
@@ -25,7 +27,10 @@ class WaveformKernel(ABC):
 
     @abstractmethod
     def autocorr(self, tau, deriv: bool = False):
-        """R(tau) for scalar or array lag [s]; with deriv, (R, dR/dtau) from one pass."""
+        """R(tau) for scalar or array lag [s]; with deriv, (R, dR/dtau) from one pass.
+
+        Array results are new arrays that the caller owns and may overwrite.
+        """
 
     @property
     @abstractmethod
@@ -76,6 +81,10 @@ class LfmWaveform(WaveformKernel):
         the chirp self-product integrated over one pulse length.  With deriv,
         returns (R, dR/dtau): the product rule on the sin-ratio and phase
         factors, sharing x, nu, sin, cos and exp(j*nu) with R.
+
+        exp(j*nu) is filled in as cos(nu) + j*sin(nu) and scaled in place;
+        every value is that of the plain complex expressions.  The series
+        runs only when some lag is below the switch point.
         """
         shape = np.shape(tau)
         t = np.asarray(tau, dtype=float).reshape(-1)  # 1-D, so the series can fill in by mask
@@ -83,27 +92,55 @@ class LfmWaveform(WaveformKernel):
         big_t = self.duration
         alpha = self.chirp_rate
         x = np.pi * big_t * alpha * t
-        nu = np.pi * (2.0 * self.f0 + big_t * alpha) * t - np.pi * alpha * t * t
-        # sin(x)/x, with the series 1 - x^2/6 + x^4/120 on the lags below the switch point
-        small = np.abs(x) < _SMALL_ARG
+        t2 = np.pi * alpha * t
+        t2 *= t  # pi*alpha*tau^2, in nu and (guarded) in the derivative's denominator
+        nu = np.pi * (2.0 * self.f0 + big_t * alpha) * t
+        nu -= t2
         sin_x = np.sin(x)
-        ratio = sin_x / np.where(small, 1.0, x)
-        xs = x[small]
-        xs2 = xs * xs
-        ratio[small] = 1.0 - xs2 / 6.0 + xs2 * xs2 / 120.0
-        phase = np.exp(1j * nu)
-        r = (a2 * big_t * ratio * phase).reshape(shape)
+        small = np.abs(x) < _SMALL_ARG
+        some_small = bool(small.any())
+        if some_small:  # divide by 1 where the series takes over, so no 0/0 is formed
+            xs = x[small]
+            safe_x, safe_t = np.where(small, 1.0, x), np.where(small, 1.0, t)
+            t2 = np.pi * alpha * safe_t
+            t2 *= safe_t
+        else:
+            safe_x, safe_t = x, t
+        # sin(x)/x, with the series 1 - x^2/6 + x^4/120 on the lags below the switch point
+        ratio = sin_x / safe_x
+        if some_small:
+            xs2 = xs * xs
+            ratio[small] = 1.0 - xs2 / 6.0 + xs2 * xs2 / 120.0
+        phase = np.empty(t.shape, dtype=complex)  # exp(j*nu)
+        np.cos(nu, out=phase.real)
+        np.sin(nu, out=phase.imag)
+        scale = a2 * big_t * ratio
         if not deriv:
+            r = np.multiply(scale, phase, out=phase).reshape(shape)
             return complex(r) if np.isscalar(tau) else r
+        r = (scale * phase).reshape(shape)
 
         # d/dtau of sin(x)/(pi*alpha*tau): exact T*cos(x)/tau - sin(x)/(pi*alpha*tau^2),
         # series T*pi*T*alpha*(-x/3 + x^3/30) near zero (both scale as x -> 0)
-        safe_t = np.where(small, 1.0, t)
-        d_ratio = big_t * np.cos(x) / safe_t - sin_x / (np.pi * alpha * safe_t * safe_t)
-        d_ratio[small] = big_t * np.pi * big_t * alpha * (-xs / 3.0 + xs**3 / 30.0)
-        dnu = np.pi * (2.0 * self.f0 + big_t * alpha) - 2.0 * np.pi * alpha * t
-        rate = dnu * a2 * big_t * ratio  # real factors first: fewer complex products, same values
-        dr = (a2 * d_ratio * phase + 1j * rate * phase).reshape(shape)
+        d_ratio = np.cos(x)
+        d_ratio *= big_t
+        d_ratio /= safe_t
+        d_ratio -= np.divide(sin_x, t2, out=t2)
+        if some_small:
+            d_ratio[small] = big_t * np.pi * big_t * alpha * (-xs / 3.0 + xs**3 / 30.0)
+        d_ratio *= a2
+        # the phase rate dnu * A^2 * T * sin(x)/x, real factors first
+        rate = 2.0 * np.pi * alpha * t
+        np.subtract(np.pi * (2.0 * self.f0 + big_t * alpha), rate, out=rate)
+        rate *= a2
+        rate *= big_t
+        rate *= ratio
+        # dR/dtau = A^2 * d_ratio * exp(j*nu) + j * rate * exp(j*nu)
+        dr = d_ratio * phase
+        turn = np.multiply(rate, phase, out=phase)
+        turn *= 1j
+        dr += turn
+        dr = dr.reshape(shape)
         if np.isscalar(tau):
             return complex(r), complex(dr)
         return r, dr

@@ -124,6 +124,43 @@ def test_stacked_losses_are_sums_of_rows(wf_unit, model, lines, grid_w, seed):
     )
 
 
+def _summed_terms(terms, scale):
+    """Sum (K, m, P) or (m, P) per-bin gradient terms over the bins, and the
+    sum of their moduli, the scale of the rounding in that sum."""
+    axes = tuple(range(terms.ndim - 1))
+    return scale * terms.sum(axis=axes), scale * np.abs(terms).sum(axis=axes)
+
+
+@PROPERTY
+@given(models, line_stacks, bin_counts.flatmap(lambda m: st.tuples(grids(m), weights(m))), st.integers(0, 2**32 - 1))
+def test_gradients_match_the_per_bin_formulas(wf_unit, model, lines, grid_w, seed):
+    grid, w = grid_w
+    g, jac = profile_jacobians(model, wf_unit, grid, lines)
+    z = _noisy(np.random.default_rng(seed), g)
+    clamp = noncoherent_clamp(wf_unit)
+    p = model.n_params
+    wide = np.zeros(jac.shape[:-1] + (2 * p,), dtype=complex)
+    wide[..., ::2] = jac
+    cases = [
+        (z, g, jac),  # the stack, as the forward pass returns it
+        (z, g, np.ascontiguousarray(jac)),
+        (z, g, wide[..., ::2]),  # a strided view of another array
+        (z[0], g[0], jac[0]),  # one profile
+    ]
+    for zz, gg, jj in cases:
+        # 2 Re sum conj(J) W (g - z)
+        want, size = _summed_terms((np.conj(jj) * w.apply(gg - zz)[..., None]).real, 2.0)
+        assert np.all(np.abs(coherent_loss_gradient(zz, gg, jj, w) - want) <= 1e-12 * size.max(initial=0.0))
+        # 2 sum (u_r Re J + u_i Im J) W (|g| - |z|), u = g/|g| where |g| >= clamp, else 0
+        live = np.abs(gg) >= clamp
+        mag = np.where(live, np.abs(gg), 1.0)
+        ur, ui = np.where(live, gg.real / mag, 0.0), np.where(live, gg.imag / mag, 0.0)
+        d = w.apply(np.abs(gg) - np.abs(zz))
+        want, size = _summed_terms((ur[..., None] * jj.real + ui[..., None] * jj.imag) * d[..., None], 2.0)
+        got = noncoherent_loss_gradient(zz, gg, jj, w, clamp)
+        assert np.all(np.abs(got - want) <= 1e-12 * size.max(initial=0.0))
+
+
 @PROPERTY
 @given(
     models,
@@ -206,6 +243,20 @@ def test_fused_kernel_matches_the_plain_kernel(wf, units):
     tau = _switch_lag(wf) * np.array(units)
     r, _ = wf.autocorr(tau, deriv=True)
     assert np.array_equal(r, wf.autocorr(tau))
+
+
+@PROPERTY
+@given(chirps(), switch_lags, _real(-0.99, 0.99), _real(1.01, 50.0))
+def test_kernel_lags_do_not_depend_on_their_neighbours(wf, units, below, above):
+    # an array with a lag below the switch takes the masked series branch; a
+    # lag above it, alone, takes the branch without the series; both must
+    # give that lag the same bits
+    tau = _switch_lag(wf) * np.array(units + [below, -above])
+    r = wf.autocorr(tau)
+    r_d, dr = wf.autocorr(tau, deriv=True)
+    for k, t in enumerate(tau):
+        assert r[k] == wf.autocorr(t)
+        assert (r_d[k], dr[k]) == wf.autocorr(t, deriv=True)
 
 
 @PROPERTY
