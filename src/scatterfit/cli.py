@@ -453,6 +453,11 @@ def parse_sweep_range(spec: str) -> np.ndarray:
     return np.linspace(lo, hi, steps)
 
 
+# Lags in one batched forward pass of `sweep-loss`: bounds the memory of a
+# chunk of sweep points, whose temporaries and Jacobian grow with its lags.
+_SWEEP_LAGS = 2**15
+
+
 def cmd_sweep_loss(cfg, out_dir: str, quiet: bool, scatterer: int, slot: str, range_spec: str) -> int:
     offsets = parse_sweep_range(range_spec)
     model = build_model(cfg["scatterers"])
@@ -468,19 +473,24 @@ def cmd_sweep_loss(cfg, out_dir: str, quiet: bool, scatterer: int, slot: str, ra
     lmat = np.stack([l.vec for l in lines])
     w = WeightMatrix.identity()
     clamp = noncoherent_clamp(wf)
-    theta0 = model.pack()
+    thetas = np.tile(model.pack(), (len(offsets), 1))
+    thetas[:, j] += offsets
+    # the points run as stacks of at most _SWEEP_LAGS lags (at least one point each)
+    chunk = max(1, _SWEEP_LAGS // (len(model.scatterers) * zs.size))
 
     rows = ["offset,coherent_loss,noncoherent_loss,coherent_grad,noncoherent_grad"]
-    for off in offsets:
-        theta = theta0.copy()
-        theta[j] += off
-        g, jac = profile_jacobians(model.unpack(theta), wf, grid, lmat)
-        column = jac[..., [j]]  # only the swept slot's gradient entry is written
-        cl = coherent_loss(zs, g, w)
-        ncl = noncoherent_loss(zs, g, w)
-        cg = coherent_loss_gradient(zs, g, column, w)[0]
-        ncg = noncoherent_loss_gradient(zs, g, column, w, clamp)[0]
-        rows.append(",".join(_fmt(v) for v in (off, cl, ncl, cg, ncg)))
+    for start in range(0, len(offsets), chunk):
+        points = slice(start, start + chunk)
+        g, jac = profile_jacobians(model, wf, grid, lmat, thetas[points])
+        column = jac[..., j : j + 1]  # only the swept slot's gradient entry is written
+        columns = (
+            offsets[points],
+            coherent_loss(zs, g, w),
+            noncoherent_loss(zs, g, w),
+            coherent_loss_gradient(zs, g, column, w)[:, 0],
+            noncoherent_loss_gradient(zs, g, column, w, clamp)[:, 0],
+        )
+        rows.extend(",".join(_fmt(v) for v in point) for point in zip(*columns))
     _write(out_dir, "sweep.csv", "\n".join(rows) + "\n", quiet)
     _write_echo(out_dir, cfg, quiet)
     return 0

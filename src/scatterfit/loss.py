@@ -13,6 +13,12 @@ product over the flattened (K*m, P) Jacobian: v = conj(W (g - z)) for the
 coherent loss, and v = conj(g/|g|) W (|g| - |z|) for the noncoherent one.
 The noncoherent modulus is not differentiable at |g| = 0; bins below a small
 clamp get a zero subgradient there.
+
+One evaluation is at most an aspect stack (K, m); any axes before the
+last two are batch axes.  So profiles (B, K, m) and Jacobians (B, K, m, P)
+from a stack of B slot vectors, against one observed (K, m) or (m,), give
+(B,) losses and (B, P) gradients, and each loss is bit-identical to the
+call on its row.
 """
 
 from __future__ import annotations
@@ -73,15 +79,23 @@ class WeightMatrix:
         return self.diag * x
 
 
-def _quad(w: WeightMatrix, r: np.ndarray) -> float:
-    """r^H W r summed over the bins, then over the aspects of a (K, m) stack."""
-    return float(np.sum((np.conj(r) * w.apply(r)).real, axis=-1).sum())
+def _quad(w: WeightMatrix, r: np.ndarray) -> float | np.ndarray:
+    """r^H W r summed over the bins, then over the aspects of a (K, m) stack;
+    r's batch axes, those before the last two, are kept."""
+    total = np.sum((np.conj(r) * w.apply(r)).real, axis=-1)
+    if r.ndim >= 2:
+        total = total.sum(axis=-1)
+    return float(total) if total.ndim == 0 else total
 
 
 def _gradient(jac: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """2 Re{J^T v}, (P,): jac (m, P) or (K, m, P) against v (m,) or (K, m), as one
-    matrix-vector product over the flattened (K*m, P) Jacobian."""
-    return 2.0 * (jac.reshape(-1, jac.shape[-1]).T @ v.reshape(-1)).real
+    """2 Re{J^T v}: jac (m, P) or (K, m, P) against v (m,) or (K, m) gives (P,),
+    as one matrix-vector product over the flattened (K*m, P) Jacobian; v's
+    batch axes, those before the last two, get one product per batch row."""
+    if v.ndim <= 2:
+        return 2.0 * (jac.reshape(v.size, jac.shape[-1]).T @ v.reshape(-1)).real
+    v = v.reshape(*v.shape[:-2], -1, 1)
+    return 2.0 * (jac.reshape(*v.shape[:-1], jac.shape[-1]).swapaxes(-1, -2) @ v)[..., 0].real
 
 
 @dataclass(frozen=True)
@@ -93,7 +107,7 @@ class Observation:
     grid: RangeGrid
 
     def __post_init__(self):
-        z = np.asarray(self.z, dtype=complex)
+        z = np.array(self.z, dtype=complex)  # a copy: freezing it leaves the caller's array writeable
         if z.shape != (self.grid.m,):
             raise ValueError(f"expected {self.grid.m} samples, got shape {z.shape}")
         if not np.all(np.isfinite(z)):
@@ -104,9 +118,10 @@ class Observation:
 
 # Every loss and gradient below takes one profile, z and g of shape (m,) with
 # jac (m, P), or a stack of aspects, (K, m) with (K, m, P), summed over the
-# aspects.
+# aspects.  g and jac may carry batch axes before an aspect stack's, (B, K, m)
+# and (B, K, m, P); the losses are then (B,) arrays and the gradients (B, P).
 
-def coherent_loss(z: np.ndarray, g: np.ndarray, w: WeightMatrix) -> float:
+def coherent_loss(z: np.ndarray, g: np.ndarray, w: WeightMatrix) -> float | np.ndarray:
     """(z - g)^H W (z - g)."""
     return _quad(w, np.asarray(z) - np.asarray(g))
 
@@ -116,7 +131,7 @@ def coherent_loss_gradient(z: np.ndarray, g: np.ndarray, jac: np.ndarray, w: Wei
     return _gradient(jac, np.conj(w.apply(np.asarray(g) - np.asarray(z))))
 
 
-def noncoherent_loss(z: np.ndarray, g: np.ndarray, w: WeightMatrix) -> float:
+def noncoherent_loss(z: np.ndarray, g: np.ndarray, w: WeightMatrix) -> float | np.ndarray:
     """(|z| - |g|)^T W (|z| - |g|)."""
     return _quad(w, np.abs(z) - np.abs(g))
 

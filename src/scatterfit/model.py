@@ -21,6 +21,14 @@ projected ranges and amplitudes are (N, K) arrays, the kernel runs once on
 the (N, K, m) lags, the profiles are a sum over N, and each scatterer's
 block of Jacobian columns is written in one product into a slot-major
 (P, K, m) array, whose (K, m, P) view is returned.
+
+The same pass evaluates a stack of B slot vectors (B, P) for one layout.
+Each type's slot rows are folded to (B*n, n_slots), so the primitives run
+once per type for the whole stack, and the arrays above gain a leading
+stack axis: (B, N, K, m) lags and a (B, P, K, m) Jacobian.  Each row of
+them is laid out as the arrays of a pass over that row alone, so every
+product and sum runs in the same order, and the profiles (B, K, m) and
+Jacobians (B, K, m, P) are bit-identical, row by row, to B separate passes.
 """
 
 from __future__ import annotations
@@ -70,11 +78,12 @@ class _Layout:
 
     amplitudes and positions hold one (kind, rows, cols, blocks) tuple per
     primitive type, in order of first appearance: the primitive class, the
-    (n,) indices of its scatterers, the (n, n_slots) theta columns of their
-    slots, and per scatterer its index and the slice of those (consecutive)
-    columns.  prototypes are the scatterers the layout was compiled from;
-    every model sharing it rebuilds its own scatterers from them and its
-    theta.
+    index of its scatterers (a slice when they are consecutive, else their
+    (n,) indices), the (n, n_slots) theta columns of their slots, and per
+    scatterer the one-row slice of its index and the slice of those
+    (consecutive) columns.  prototypes are the scatterers the layout was
+    compiled from; every model sharing it rebuilds its own scatterers from
+    them and its theta.
     """
 
     def __init__(self, scatterers: tuple[Scatterer, ...]):
@@ -90,7 +99,7 @@ class _Layout:
         )
 
     @staticmethod
-    def _groups(parts) -> tuple[tuple[type, np.ndarray, np.ndarray, tuple[tuple[int, slice], ...]], ...]:
+    def _groups(parts) -> tuple[tuple[type, slice | np.ndarray, np.ndarray, tuple[tuple[slice, slice], ...]], ...]:
         """Group (primitive, theta column of its first slot) pairs, one per scatterer, by type."""
         members: dict[type, list[tuple[int, int]]] = {}
         for index, (prim, first) in enumerate(parts):
@@ -99,7 +108,9 @@ class _Layout:
         for kind, rows in members.items():
             width = len(kind.slot_names)
             index, first = np.array(rows, dtype=np.intp).T
-            blocks = tuple((i, slice(f, f + width)) for i, f in rows)
+            if np.all(np.diff(index) == 1):  # consecutive rows are written through a view, not a gather
+                index = slice(index[0], index[-1] + 1)
+            blocks = tuple((slice(i, i + 1), slice(f, f + width)) for i, f in rows)
             groups.append((kind, index, first[:, None] + np.arange(width), blocks))
         return tuple(groups)
 
@@ -176,15 +187,40 @@ def _as_line_stack(lines) -> np.ndarray:
     return arr
 
 
-def _projected_ranges(layout: _Layout, theta: np.ndarray, lines: np.ndarray) -> np.ndarray:
-    """p.l for every scatterer and sight line, (N, K), with the scatterer named on error."""
-    pl = np.empty((len(layout.prototypes), lines.shape[0]))
+def _theta_stack(model: PointScatteringModel, thetas) -> np.ndarray:
+    """A checked (B, P) float stack of slot vectors for the model's layout."""
+    stack = np.asarray(thetas, dtype=float)
+    if stack.ndim != 2 or stack.shape[0] < 1 or stack.shape[1] != model.n_params:
+        raise ValueError(f"expected a (B, {model.n_params}) stack of parameters with B >= 1, got shape {stack.shape}")
+    return stack
+
+
+def _slot_rows(theta: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """A type group's slot rows: (n, n_slots) from one theta (P,), or from a
+    stack (B, P) the (B*n, n_slots) rows of its B copies, stack-major."""
+    return theta[cols] if theta.ndim == 1 else theta.take(cols, axis=1).reshape(-1, cols.shape[1])
+
+
+def _unfold(values: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """A primitive's result over the slot rows of theta: as is for one theta
+    (P,); for a stack (B, P), with the stack axis split out, (B*n, ...) ->
+    (B, n, ...), and a broadcast (1, ...) -> (1, 1, ...)."""
+    if theta.ndim == 1:
+        return values
+    return values.reshape((len(theta) if len(values) > 1 else 1, -1) + values.shape[1:])
+
+
+def _projected_ranges(layout: _Layout, theta: np.ndarray, lines: np.ndarray, at: tuple) -> np.ndarray:
+    """p.l for every scatterer and sight line, (N, K) or, for a stack, (B, N, K),
+    with the scatterer named on error.  at indexes the stack axis: () or (:,)."""
+    n = len(layout.prototypes)
+    pl = np.empty(theta.shape[:-1] + (n, lines.shape[0]))
     for kind, rows, cols, _ in layout.positions:
         try:
-            pos = kind.positions(theta[cols], lines)
+            pos = kind.positions(_slot_rows(theta, cols), lines)
         except DegenerateGeometryError as err:
-            raise DegenerateGeometryError(f"scatterer {rows[0]}: {err}") from None
-        pl[rows] = np.einsum("nkj,kj->nk", pos, lines)
+            raise DegenerateGeometryError(f"scatterer {np.arange(n)[rows][0]}: {err}") from None
+        pl[at + (rows,)] = _unfold(np.einsum("nkj,kj->nk", pos, lines), theta)
     return pl
 
 
@@ -193,7 +229,7 @@ def _per_row(values: np.ndarray, n: int):
     return repeat(values[0], n) if len(values) == 1 else values
 
 
-def _forward(model: PointScatteringModel, wf: WaveformKernel, bins: np.ndarray, lines, jacobian: bool):
+def _forward(model: PointScatteringModel, wf: WaveformKernel, bins: np.ndarray, lines, jacobian: bool, thetas=None):
     """Profiles (K, m) and, when asked, Jacobians (K, m, P) for all scatterers at once.
 
     bins holds the bin ranges, (m,) for a grid shared by every sight line or
@@ -202,46 +238,60 @@ def _forward(model: PointScatteringModel, wf: WaveformKernel, bins: np.ndarray, 
     Jacobian lives in a slot-major (P, K, m) array: each scatterer's
     consecutive amplitude slots, then its position slots, are one block of
     rows written by one product, and the (K, m, P) view of that array is
-    returned.
+    returned.  With a (B, P) stack thetas, each array gains a leading stack
+    axis, (B, N, K, m) and (B, P, K, m), so each row is laid out as the
+    arrays of a pass over that row alone; the results are (B, K, m) and
+    (B, K, m, P).
+
+    One slot vector runs without the stack axis rather than as a one-row
+    stack: folding and unfolding a stack adds a few microseconds a call,
+    5-10% of a forward pass at the single-profile size.
     """
-    layout, theta = model._layout, model._theta
+    layout = model._layout
+    if thetas is None:
+        # at indexes the stack axis; slots_first and last are the primitive-result
+        # and Jacobian transposes: (n, K, n_slots) -> (n, n_slots, K), (P, K, m) -> (K, m, P)
+        theta, at, slots_first, last = model._theta, (), (0, 2, 1), (1, 2, 0)
+    else:
+        theta, at, slots_first, last = _theta_stack(model, thetas), (slice(None),), (1, 0, 3, 2), (0, 2, 3, 1)
     lmat = _as_line_stack(lines)
-    n, k = len(layout.prototypes), lmat.shape[0]
-    pl = _projected_ranges(layout, theta, lmat)
-    a = np.empty((n, k), dtype=complex)
+    pl = _projected_ranges(layout, theta, lmat, at)
+    a = np.empty(pl.shape, dtype=complex)
     for kind, rows, cols, _ in layout.amplitudes:
-        a[rows] = kind.values(theta[cols], lmat)
+        a[at + (rows,)] = _unfold(kind.values(_slot_rows(theta, cols), lmat), theta)
     k4 = 4.0 * np.pi * wf.fc / C_LIGHT
     gamma = np.exp(1j * k4 * pl)
     ag = a * gamma
-    tau = bins + pl[:, :, None]
+    tau = bins + pl[..., None]
     tau *= 2.0
     tau /= C_LIGHT
     if not jacobian:
-        return (ag[:, :, None] * wf.autocorr(tau)).sum(axis=0), None
+        return (ag[..., None] * wf.autocorr(tau)).sum(axis=-3), None
     # Products of two complex arrays always go to an output distinct from both
     # operands: numpy may pick another loop (with other rounding) when the
     # output aliases an input.  Scaling by a real, or by a purely imaginary
     # scalar, rounds the same either way, so it is done in place.
     r, dr = wf.autocorr(tau, deriv=True)
-    scratch = ag[:, :, None] * r
-    out = scratch.sum(axis=0)
-    by_slot = np.empty((layout.n_params, k, bins.shape[-1]), dtype=complex)  # one slot's (K, m) block per row
+    scratch = ag[..., None] * r
+    out = scratch.sum(axis=-3)
+    # one slot's (K, m) block per row
+    by_slot = np.empty(pl.shape[:-2] + (layout.n_params, lmat.shape[0], bins.shape[-1]), dtype=complex)
     # d g / d(amplitude slots) = gamma * R * da/dtheta
-    gr = np.multiply(gamma[:, :, None], r, out=scratch)
+    gr = np.multiply(gamma[..., None], r, out=scratch)
     for kind, _, cols, blocks in layout.amplitudes:
-        grad = kind.gradients(theta[cols], lmat).transpose(0, 2, 1)[..., None]
+        grad = _unfold(kind.gradients(_slot_rows(theta, cols), lmat), theta).transpose(slots_first)[..., None]
         for (row, span), d in zip(blocks, _per_row(grad, len(blocks))):
-            np.multiply(gr[row], d, out=by_slot[span])
+            np.multiply(gr[at + (row,)], d, out=by_slot[at + (span,)])
     # d g / d(position slots) = a * gamma * (j*k4*R + 2/c * dR/dtau) * d(p.l)/dtheta
     d_range = np.multiply(1j * k4, r, out=r)  # d(gamma*R)/d(p.l) / gamma
     d_range += np.multiply(2.0 / C_LIGHT, dr, out=dr)
-    radial = np.multiply(ag[:, :, None], d_range, out=scratch)
+    radial = np.multiply(ag[..., None], d_range, out=scratch)
     for kind, _, cols, blocks in layout.positions:
-        u = np.einsum("nkij,ki->nkj", kind.jacobians(theta[cols], lmat), lmat).transpose(0, 2, 1)[..., None]
+        u = np.einsum("nkij,ki->nkj", kind.jacobians(_slot_rows(theta, cols), lmat), lmat)
+        u = _unfold(u, theta).transpose(slots_first)[..., None]
         for (row, span), d in zip(blocks, _per_row(u, len(blocks))):
-            np.multiply(radial[row], d, out=by_slot[span])
-    return out, by_slot.transpose(1, 2, 0)
+            np.multiply(radial[at + (row,)], d, out=by_slot[at + (span,)])
+    return out, by_slot.transpose(last)
 
 
 def _grid_bins(grid: RangeGrid | Sequence[RangeGrid]) -> np.ndarray:
@@ -252,23 +302,28 @@ def _grid_bins(grid: RangeGrid | Sequence[RangeGrid]) -> np.ndarray:
 
 
 def synthesize_profiles(
-    model: PointScatteringModel, wf: WaveformKernel, grid: RangeGrid | Sequence[RangeGrid], lines
+    model: PointScatteringModel, wf: WaveformKernel, grid: RangeGrid | Sequence[RangeGrid], lines, thetas=None
 ) -> np.ndarray:
     """Profiles for a stack of sight lines: complex (K, m) array.
 
     grid is one RangeGrid for every sight line, or a sequence of K grids, one
-    per sight line, all with m bins.
+    per sight line, all with m bins.  thetas, if given, is a (B, P) stack of
+    slot vectors for the model's scatterers; the result is then (B, K, m),
+    and row b is bit-identical to the profiles of ``model.unpack(thetas[b])``.
     """
-    return _forward(model, wf, _grid_bins(grid), lines, jacobian=False)[0]
+    return _forward(model, wf, _grid_bins(grid), lines, False, thetas)[0]
 
 
 def profile_jacobians(
-    model: PointScatteringModel, wf: WaveformKernel, grid: RangeGrid | Sequence[RangeGrid], lines
+    model: PointScatteringModel, wf: WaveformKernel, grid: RangeGrid | Sequence[RangeGrid], lines, thetas=None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Profiles (K, m) and d(profile)/d(slots) (K, m, P) for a stack of sight lines.
 
-    grid is as for ``synthesize_profiles``, and the profiles are bit-identical
-    to it.  The Jacobian is a view of a slot-major array, so each slot's
-    (K, m) block is contiguous; ``jac.reshape(-1, P)`` is still a view.
+    grid and thetas are as for ``synthesize_profiles``, and the profiles are
+    bit-identical to it; with thetas the results are (B, K, m) and
+    (B, K, m, P), each row bit-identical to a call on that row's model.
+    The Jacobian is a view of a slot-major array, so each slot's (K, m)
+    block is contiguous; ``jac.reshape(-1, P)`` is still a view, and so is a
+    stack's ``jac.reshape(B, -1, P)``.
     """
-    return _forward(model, wf, _grid_bins(grid), lines, jacobian=True)
+    return _forward(model, wf, _grid_bins(grid), lines, True, thetas)

@@ -7,6 +7,18 @@ import sys
 import numpy as np
 import pytest
 
+import scatterfit.cli as cli
+from scatterfit import (
+    NoiseSpec,
+    WeightMatrix,
+    coherent_loss,
+    coherent_loss_gradient,
+    noncoherent_clamp,
+    noncoherent_loss,
+    noncoherent_loss_gradient,
+    profile_jacobians,
+    synthesize_pattern,
+)
 from scatterfit.cli import ConfigError, main, parse_sweep_range, resolve_config
 
 
@@ -233,6 +245,58 @@ def test_sweep_loss_gradient_matches_row_differences(tmp_path):
         fd = (vals[2, loss_col] - vals[0, loss_col]) / (2.0 * h)
         grad = vals[1, grad_col]
         assert abs(fd - grad) <= 1e-3 * max(abs(grad), 1e-3)
+
+
+def test_sweep_loss_chunks_do_not_change_the_table(tmp_path, monkeypatch):
+    # the points run as stacks of at most the lag budget; one point per stack
+    # writes the same bytes, and the columns match a per-point evaluation
+    raw = base_config(sigma2=0.01, seed=3, geometry={"sweep": {"count": 4, "elevation": 0.2}})
+    raw["scatterers"].append({
+        "amplitude": {"type": "fixed", "s_re": 0.6, "s_im": 0.3},
+        "position": {"type": "fixed_cylindrical", "r_s": 0.4, "phi_s": 0.7, "z_s": -0.2},
+    })
+    cfg_path = write_config(tmp_path, raw)
+    lags_per_point = 2 * 4 * 31
+    stacks = []
+
+    def recording(model, wf, grid, lines, thetas=None):
+        stacks.append(len(thetas))
+        return profile_jacobians(model, wf, grid, lines, thetas)
+
+    monkeypatch.setattr(cli, "profile_jacobians", recording)
+
+    def sweep(out):
+        stacks.clear()
+        args = ["sweep-loss", "--config", cfg_path, "--out", str(out), "--quiet",
+                "--scatterer", "1", "--slot", "r_s", "--range=-0.2:0.2:201"]
+        assert main(args) == 0
+        return (out / "sweep.csv").read_bytes(), list(stacks)
+
+    table, sizes = sweep(tmp_path / "default")
+    assert len(sizes) > 1 and sum(sizes) == 201
+    assert max(sizes) * lags_per_point <= cli._SWEEP_LAGS
+    monkeypatch.setattr(cli, "_SWEEP_LAGS", 1)
+    one_by_one, sizes = sweep(tmp_path / "single")
+    assert sizes == [1] * 201
+    assert one_by_one == table
+
+    cfg = resolve_config(raw)
+    model, wf = cli.build_model(cfg["scatterers"]), cli.build_waveform(cfg)
+    grid, lines = cli.build_grid(cfg), cli.build_sightlines(cfg)
+    zs = np.array([o.z for o in synthesize_pattern(model, wf, grid, lines, NoiseSpec(0.01, 3)).observations])
+    w, clamp = WeightMatrix.identity(), noncoherent_clamp(wf)
+    j = model.slot_labels().index("s1.r_s")
+    want, grads = [], []
+    for off in np.linspace(-0.2, 0.2, 201):
+        theta = model.pack()
+        theta[j] += off
+        g, jac = profile_jacobians(model.unpack(theta), wf, grid, lines)
+        want.append([repr(float(off)), repr(coherent_loss(zs, g, w)), repr(noncoherent_loss(zs, g, w))])
+        grads.append([coherent_loss_gradient(zs, g, jac, w)[j], noncoherent_loss_gradient(zs, g, jac, w, clamp)[j]])
+    _, rows = read_rows(tmp_path / "default" / "sweep.csv")
+    assert [r[:3] for r in rows] == want
+    got, grads = np.array([[float(v) for v in r[3:]] for r in rows]), np.array(grads)
+    assert np.all(np.abs(got - grads) <= 1e-13 * np.max(np.abs(grads), axis=0))
 
 
 def test_sweep_loss_argument_validation(tmp_path, capsys):

@@ -106,6 +106,23 @@ def test_gradients_match_finite_differences(wf_unit, rng):
         assert rel_err(got_n, fd_gradient(loss_n, theta)) < 1e-5
 
 
+def test_one_profile_against_an_aspect_stack_sums_the_aspects(rng):
+    # z (m,) broadcasts against g (K, m): a 2-D g is an aspect stack, not a
+    # batch, so the losses are floats and the gradients (P,), as for z tiled to (K, m)
+    k, p = 3, 5
+    z = rng.normal(size=M) + 1j * rng.normal(size=M)
+    g = rng.normal(size=(k, M)) + 1j * rng.normal(size=(k, M))
+    jac = rng.normal(size=(k, M, p)) + 1j * rng.normal(size=(k, M, p))
+    tiled = np.tile(z, (k, 1))
+    for w in weight_cases(rng, M):
+        for loss in (coherent_loss, noncoherent_loss):
+            got = loss(z, g, w)
+            assert isinstance(got, float) and got == loss(tiled, g, w)
+        for grad in (coherent_loss_gradient, noncoherent_loss_gradient):
+            got = grad(z, g, jac, w)
+            assert got.shape == (p,) and np.array_equal(got, grad(tiled, g, jac, w))
+
+
 def test_noncoherent_is_phase_invariant(rng):
     z = rng.normal(size=M) + 1j * rng.normal(size=M)
     g = rng.normal(size=M) + 1j * rng.normal(size=M)
@@ -173,6 +190,19 @@ def test_observation_validation(grid_mid):
     obs = Observation(np.zeros(grid_mid.m, dtype=complex), line, grid_mid)
     with pytest.raises(ValueError):
         obs.z[0] = 1.0
+
+
+def test_observation_copies_the_callers_samples(grid_mid):
+    # the observation freezes its own copy; the caller's array stays writeable
+    # and shares no memory with it
+    line = sightline_from_angles(0.0, 0.0)
+    z = np.zeros(grid_mid.m, dtype=complex)
+    obs = Observation(z, line, grid_mid)
+    assert z.flags.writeable
+    assert not obs.z.flags.writeable
+    assert not np.shares_memory(z, obs.z)
+    z[0] = 1.0
+    assert obs.z[0] == 0.0
 
 
 def test_weight_validation():

@@ -5,6 +5,7 @@ import pytest
 
 from scatterfit import (
     C_LIGHT,
+    DegenerateGeometryError,
     FixedAmplitude,
     FixedCylindrical,
     PointScatteringModel,
@@ -71,6 +72,29 @@ def test_unpack_and_the_forward_pass_build_no_scatterer(wf_unit, grid_mid, rng, 
     assert built.count(Scatterer) == 4
     assert moved == model.unpack(theta) and hash(moved) == hash(model.unpack(theta))
     assert moved != model
+
+
+def test_theta_stack_shapes_and_errors(wf_unit, grid_mid, rng):
+    model = reference_truth()
+    lines = [random_line(rng) for _ in range(3)]
+    thetas = model.pack() + rng.normal(scale=0.01, size=(4, model.n_params))
+    g, jac = profile_jacobians(model, wf_unit, grid_mid, lines, thetas)
+    assert g.shape == (4, 3, grid_mid.m) and jac.shape == (4, 3, grid_mid.m, model.n_params)
+    # each slot's (K, m) block is contiguous, so a row's flattened Jacobian is a view
+    assert np.shares_memory(jac.reshape(4, -1, model.n_params), jac)
+    assert synthesize_profiles(model, wf_unit, grid_mid, lines, thetas[:1]).shape == (1, 3, grid_mid.m)
+    for bad in (model.pack(), thetas[:, :-1], thetas[:0], thetas[None]):
+        with pytest.raises(ValueError, match="stack of parameters"):
+            synthesize_profiles(model, wf_unit, grid_mid, lines, bad)
+    # a degenerate aspect names the model's scatterer, not a row of the folded stack
+    ring = PointScatteringModel((
+        Scatterer(FixedAmplitude(1.0, 0.0), Spherical(0.5)),
+        Scatterer(FixedAmplitude(1.0, 0.0), SlippingRing(0.5, 0.0)),
+    ))
+    axis = np.array([0.0, 0.0, 1.0])
+    for evaluate in (synthesize_profiles, profile_jacobians):
+        with pytest.raises(DegenerateGeometryError, match="^scatterer 1: aspect 0"):
+            evaluate(ring, wf_unit, grid_mid, axis, np.tile(ring.pack(), (5, 1)))
 
 
 def test_slot_labels():

@@ -215,6 +215,56 @@ def test_compiled_pass_equals_single_scatterer_models(wf_unit, model, lines, gri
 
 
 @st.composite
+def stacked_problems(draw):
+    """A mixed model, B = 1..5 random slot vectors for it, sight lines, a shared
+    grid or one grid per sight line, weights, and a seed for the observed samples."""
+    model, lines, m = draw(mixed_models), draw(line_stacks), draw(bin_counts)
+    per_aspect = st.lists(grids(m), min_size=len(lines), max_size=len(lines))
+    grid = draw(st.one_of(grids(m), per_aspect))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    thetas = model.pack() + rng.normal(scale=0.3, size=(draw(st.integers(1, 5)), model.n_params))
+    return model, lines, grid, thetas, draw(weights(m)), rng
+
+
+def _gradient_scale(jac, residual):
+    """2 sum |J| |residual| over the bins, per slot: the size of a gradient's summed terms."""
+    axes = tuple(range(jac.ndim - 1))
+    return 2.0 * (np.abs(jac) * np.abs(residual)[..., None]).sum(axis=axes)
+
+
+@PROPERTY
+@given(stacked_problems())
+def test_theta_stack_rows_equal_single_models(wf_unit, problem):
+    # a (B, P) stack runs as one forward pass; each row is bit for bit the pass
+    # over model.unpack(row), and so is each stacked loss
+    model, lines, grid, thetas, w, rng = problem
+    b, m = len(thetas), (grid if isinstance(grid, RangeGrid) else grid[0]).m
+    g, jac = profile_jacobians(model, wf_unit, grid, lines, thetas)
+    assert g.shape == (b, len(lines), m) and jac.shape == (b, len(lines), m, model.n_params)
+    assert np.array_equal(synthesize_profiles(model, wf_unit, grid, lines, thetas), g)
+    z = _noisy(rng, g[0])
+    clamp = noncoherent_clamp(wf_unit)
+    cases = [(z, g, jac), (z[0], g[:, :1], jac[:, :1])]  # an aspect stack, and one profile per row
+    stacked = [
+        (coherent_loss(zz, gg, w), noncoherent_loss(zz, gg, w),
+         coherent_loss_gradient(zz, gg, jj, w), noncoherent_loss_gradient(zz, gg, jj, w, clamp))
+        for zz, gg, jj in cases
+    ]
+    for row, theta in enumerate(thetas):
+        one = model.unpack(theta)
+        g1, jac1 = profile_jacobians(one, wf_unit, grid, lines)
+        assert np.array_equal(g[row], g1) and np.array_equal(jac[row], jac1)
+        for (zz, gg, jj), (cl, ncl, cg, ncg) in zip(((z, g1, jac1), (z[0], g1[0], jac1[0])), stacked):
+            assert cl.shape == ncl.shape == (b,) and cg.shape == ncg.shape == (b, model.n_params)
+            assert cl[row] == coherent_loss(zz, gg, w)
+            assert ncl[row] == noncoherent_loss(zz, gg, w)
+            size = _gradient_scale(jj, w.apply(gg - zz))
+            assert np.all(np.abs(cg[row] - coherent_loss_gradient(zz, gg, jj, w)) <= 1e-12 * size)
+            size = _gradient_scale(jj, w.apply(np.abs(gg) - np.abs(zz)))
+            assert np.all(np.abs(ncg[row] - noncoherent_loss_gradient(zz, gg, jj, w, clamp)) <= 1e-12 * size)
+
+
+@st.composite
 def chirps(draw):
     """Chirps of either sweep direction, with the start frequency offset anywhere within +-B."""
     duration = draw(_log_uniform(-7, -5))
