@@ -145,6 +145,193 @@ def test_unknown_key_names_path(tmp_path, capsys):
     assert "grid" in err and "bins" in err
 
 
+DROP = object()
+
+# one fault per config, applied to base_config(sigma2=0.01, fit=fit_block()):
+# (case, {path: new value or DROP}, the exact ConfigError text)
+CONFIG_FAULTS = [
+    ("root-not-object", {(): []},
+     "expected an object, got list"),
+    ("waveform-not-object", {("waveform",): 5},
+     "waveform: expected an object, got int"),
+    ("grid-not-object", {("grid",): None},
+     "grid: expected an object, got NoneType"),
+    ("scatterers-not-list", {("scatterers",): {}},
+     "scatterers: expected a non-empty list of scatterers"),
+    ("scatterers-empty", {("scatterers",): []},
+     "scatterers: expected a non-empty list of scatterers"),
+    ("scatterer-not-object", {("scatterers", 0): "s"},
+     "scatterers[0]: expected an object, got str"),
+    ("amplitude-not-object", {("scatterers", 0, "amplitude"): 1.0},
+     "scatterers[0].amplitude: expected an object, got float"),
+    ("geometry-not-object", {("geometry",): []},
+     "geometry: expected an object, got list"),
+    ("sweep-not-object", {("geometry",): {"sweep": 4}},
+     "geometry.sweep: expected an object, got int"),
+    ("noise-not-object", {("noise",): None},
+     "noise: expected an object, got NoneType"),
+    ("fit-not-object", {("fit",): "sequential"},
+     "fit: expected an object, got str"),
+    ("descent-not-object", {("fit", "descent"): 5},
+     "fit.descent: expected an object, got int"),
+    ("line-search-not-object", {("fit", "descent", "line_search"): []},
+     "fit.descent.line_search: expected an object, got list"),
+    ("initial-model-empty", {("fit", "initial_model"): []},
+     "fit.initial_model: expected a non-empty list of scatterers"),
+    ("root-unknown-key", {("grids",): {}},
+     "unknown key 'grids' (allowed: description, fit, geometry, grid, noise, scatterers, waveform)"),
+    ("waveform-unknown-key", {("waveform", "chirp"): 1},
+     "waveform: unknown key 'chirp' (allowed: amplitude, bandwidth_hz, center_frequency_hz, duration_s)"),
+    ("grid-unknown-key", {("grid", "bins"): 10},
+     "grid: unknown key 'bins' (allowed: b0_m, delta_m, m_samples)"),
+    ("scatterer-unknown-key", {("scatterers", 0, "phase"): 0.0},
+     "scatterers[0]: unknown key 'phase' (allowed: amplitude, description, position)"),
+    ("position-unknown-key", {("scatterers", 0, "position", "r_s"): 0.5},
+     "scatterers[0].position: unknown key 'r_s' (allowed: rho_s, type)"),
+    ("geometry-unknown-key", {("geometry", "aspects"): 3},
+     "geometry: unknown key 'aspects' (allowed: description, sightlines, sweep)"),
+    ("sweep-unknown-key", {("geometry",): {"sweep": {"count": 4, "step": 0.1}}},
+     "geometry.sweep: unknown key 'step' (allowed: azimuth_start, azimuth_stop, count, elevation)"),
+    ("noise-unknown-key", {("noise", "mean"): 0.0},
+     "noise: unknown key 'mean' (allowed: seed, sigma2)"),
+    ("fit-unknown-key", {("fit", "method"): "bfgs"},
+     "fit: unknown key 'method' (allowed: descent, initial_model, strategy, weight)"),
+    ("descent-unknown-key", {("fit", "descent", "tol"): 1e-3},
+     "fit.descent: unknown key 'tol' (allowed: grad_norm_tol, line_search, loss_rel_tol, max_iters)"),
+    ("line-search-unknown-key", {("fit", "descent", "line_search"): {"shrink": 0.5}},
+     "fit.descent.line_search: unknown key 'shrink' (allowed: bracket_growth, max_bracket_steps, section_tol)"),
+    ("missing-waveform", {("waveform",): DROP},
+     "missing required field 'waveform'"),
+    ("missing-scatterers", {("scatterers",): DROP},
+     "missing required field 'scatterers'"),
+    ("missing-geometry", {("geometry",): DROP},
+     "missing required field 'geometry'"),
+    ("missing-bandwidth", {("waveform", "bandwidth_hz"): DROP},
+     "waveform: missing required field 'bandwidth_hz'"),
+    ("missing-center-frequency", {("waveform", "center_frequency_hz"): DROP},
+     "waveform: missing required field 'center_frequency_hz'"),
+    ("missing-slot", {("scatterers", 0, "amplitude", "s_im"): DROP},
+     "scatterers[0].amplitude: missing required field 's_im'"),
+    ("missing-position", {("scatterers", 0, "position"): DROP},
+     "scatterers[0]: missing required field 'position'"),
+    ("missing-sweep-count", {("geometry",): {"sweep": {"elevation": 0.1}}},
+     "geometry.sweep: missing required field 'count'"),
+    ("missing-strategy", {("fit", "strategy"): DROP},
+     "fit: missing required field 'strategy'"),
+    ("missing-initial-model", {("fit", "initial_model"): DROP},
+     "fit: missing required field 'initial_model'"),
+    ("missing-fit", {("fit",): DROP},
+     "missing required field 'fit'"),
+    ("string-for-number", {("waveform", "duration_s"): "1us"},
+     "waveform.duration_s: expected a number, got '1us'"),
+    ("float-for-integer", {("grid", "m_samples"): 31.5},
+     "grid.m_samples: expected an integer, got 31.5"),
+    ("string-for-integer", {("fit", "descent", "max_iters"): "10"},
+     "fit.descent.max_iters: expected an integer, got '10'"),
+    ("number-for-string", {("fit", "strategy"): 3},
+     "fit.strategy: expected a string, got 3"),
+    ("number-for-description", {("description",): 5},
+     "description: expected a string, got 5"),
+    ("null-slot", {("scatterers", 0, "amplitude", "s_re"): None},
+     "scatterers[0].amplitude.s_re: expected a number, got None"),
+    ("bool-for-number", {("waveform", "amplitude"): True},
+     "waveform.amplitude: expected a number, got True"),
+    ("bool-for-integer", {("noise", "seed"): False},
+     "noise.seed: expected an integer, got False"),
+    ("bool-for-slot", {("scatterers", 0, "position", "rho_s"): True},
+     "scatterers[0].position.rho_s: expected a number, got True"),
+    ("non-finite-number", {("waveform", "center_frequency_hz"): float("inf")},
+     "waveform.center_frequency_hz: must be finite, got inf"),
+    ("non-finite-slot", {("scatterers", 0, "amplitude", "s_im"): float("nan")},
+     "scatterers[0].amplitude.s_im: must be finite, got nan"),
+    ("non-finite-tolerance", {("fit", "descent", "loss_rel_tol"): float("inf")},
+     "fit.descent.loss_rel_tol: must be finite, got inf"),
+    ("zero-bandwidth", {("waveform", "bandwidth_hz"): 0.0},
+     "waveform.bandwidth_hz: must be > 0.0, got 0.0"),
+    ("zero-duration", {("waveform", "duration_s"): 0.0},
+     "waveform.duration_s: must be > 0.0, got 0.0"),
+    ("zero-center-frequency", {("waveform", "center_frequency_hz"): 0},
+     "waveform.center_frequency_hz: must be > 0.0, got 0"),
+    ("zero-amplitude", {("waveform", "amplitude"): 0.0},
+     "waveform.amplitude: must be > 0.0, got 0.0"),
+    ("negative-delta", {("grid", "delta_m"): -0.15},
+     "grid.delta_m: must be > 0.0, got -0.15"),
+    ("zero-bins", {("grid", "m_samples"): 0},
+     "grid.m_samples: must be >= 1, got 0"),
+    ("zero-count", {("geometry",): {"sweep": {"count": 0}}},
+     "geometry.sweep.count: must be >= 1, got 0"),
+    ("negative-sigma2", {("noise", "sigma2"): -0.01},
+     "noise.sigma2: must be >= 0.0, got -0.01"),
+    ("negative-seed", {("noise", "seed"): -1},
+     "noise.seed: must be >= 0, got -1"),
+    ("zero-max-iters", {("fit", "descent", "max_iters"): 0},
+     "fit.descent.max_iters: must be >= 1, got 0"),
+    ("negative-loss-tol", {("fit", "descent", "loss_rel_tol"): -1e-8},
+     "fit.descent.loss_rel_tol: must be >= 0.0, got -1e-08"),
+    ("negative-grad-tol", {("fit", "descent", "grad_norm_tol"): -1.0},
+     "fit.descent.grad_norm_tol: must be >= 0.0, got -1.0"),
+    ("bracket-growth-one", {("fit", "descent", "line_search"): {"bracket_growth": 1.0}},
+     "fit.descent.line_search.bracket_growth: must be > 1.0, got 1.0"),
+    ("zero-bracket-steps", {("fit", "descent", "line_search"): {"max_bracket_steps": 0}},
+     "fit.descent.line_search.max_bracket_steps: must be >= 1, got 0"),
+    ("zero-section-tol", {("fit", "descent", "line_search"): {"section_tol": 0.0}},
+     "fit.descent.line_search.section_tol: must be > 0.0, got 0.0"),
+    ("bad-strategy", {("fit", "strategy"): "newton"},
+     "fit.strategy: expected one of ['coherent', 'noncoherent', 'sequential'], got 'newton'"),
+    ("bad-weight", {("fit", "weight"): "ones"},
+     "fit.weight: expected one of ['identity', 'inverse_noise'], got 'ones'"),
+    ("bad-type", {("scatterers", 0, "position", "type"): "cone"},
+     "scatterers[0].position.type: expected one of ['fixed_cylindrical', 'slipping', 'spherical'], got 'cone'"),
+    ("bad-amplitude-type", {("scatterers", 0, "amplitude", "type"): "spherical"},
+     "scatterers[0].amplitude.type: expected one of ['fixed'], got 'spherical'"),
+    ("missing-type", {("scatterers", 0, "amplitude", "type"): DROP},
+     "scatterers[0].amplitude: missing required field 'type'"),
+    ("slot-of-other-type", {("scatterers", 0, "position"): {"type": "spherical", "r_s": 1.0}},
+     "scatterers[0].position: unknown key 'r_s' (allowed: rho_s, type)"),
+    ("negative-sphere-radius", {("scatterers", 0, "position", "rho_s"): -0.5},
+     "scatterers[0].position: sphere radius must be >= 0, got -0.5"),
+    ("negative-ring-radius", {("fit", "initial_model", 0, "position"): {"type": "slipping", "r_s": -1.0, "z_s": 0.0}},
+     "fit.initial_model[0].position: ring radius must be >= 0, got -1.0"),
+    ("two-sources", {("geometry", "sweep"): {"count": 3}},
+     "geometry: give exactly one of 'sightlines' or 'sweep'"),
+    ("no-source", {("geometry",): {"description": "none"}},
+     "geometry: give exactly one of 'sightlines' or 'sweep'"),
+    ("empty-sightlines", {("geometry", "sightlines"): []},
+     "geometry.sightlines: expected a non-empty list of [x, y, z] vectors"),
+    ("sightlines-not-list", {("geometry", "sightlines"): [1.0, 0.0, 0.0]},
+     "geometry.sightlines[0]: expected a 3-component vector"),
+    ("two-component-vector", {("geometry", "sightlines"): [[1.0, 0.0, 0.0], [1.0, 0.0]]},
+     "geometry.sightlines[1]: expected a 3-component vector"),
+    ("string-component", {("geometry", "sightlines"): [[1.0, "0", 0.0]]},
+     "geometry.sightlines[0][1]: expected a number, got '0'"),
+    ("zero-vector", {("geometry", "sightlines"): [[0.0, 0.0, 0.0]]},
+     "geometry.sightlines[0]: cannot normalize direction with norm 0.000e+00"),
+    ("inverse-noise-without-noise", {("noise", "sigma2"): 0.0, ("fit", "weight"): "inverse_noise"},
+     "fit.weight: 'inverse_noise' needs noise.sigma2 > 0"),
+]
+
+
+@pytest.mark.parametrize("case, edits, message", CONFIG_FAULTS, ids=[c[0] for c in CONFIG_FAULTS])
+def test_config_fault_messages(tmp_path, capsys, case, edits, message):
+    cfg = base_config(sigma2=0.01, fit=fit_block())
+    for path, value in edits.items():
+        if not path:
+            cfg = value
+            continue
+        node = cfg
+        for key in path[:-1]:
+            node = node[key]
+        if value is DROP:
+            del node[path[-1]]
+        else:
+            node[path[-1]] = value
+    with pytest.raises(ConfigError) as exc:
+        resolve_config(cfg, need_fit=True)
+    assert str(exc.value) == message
+    assert main(["fit", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
 def test_invalid_json_reports_line(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text('{"waveform": }')
