@@ -17,6 +17,7 @@ import math
 import os
 import sys
 import tempfile
+from functools import partial
 
 import numpy as np
 
@@ -67,23 +68,7 @@ def _require_map(node, path):
     return node
 
 
-def _check_keys(node, path, allowed):
-    for key in node:
-        if key not in allowed:
-            raise ConfigError(path, f"unknown key '{key}' (allowed: {', '.join(sorted(allowed))})")
-
-
-def _pop(node, key, path, required=False, default=None):
-    if key in node:
-        return node[key]
-    if required:
-        raise ConfigError(path, f"missing required field '{key}'")
-    return default
-
-
-def _as_float(value, path, minimum=None, exclusive=False, allow_none=False):
-    if value is None and allow_none:
-        return None
+def _as_float(value, path, minimum=None, exclusive=False):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(path, f"expected a number, got {value!r}")
     x = float(value)
@@ -113,6 +98,39 @@ def _as_str(value, path, choices=None):
     return value
 
 
+# field defaults that are not values: the field must be given, or is left out when not given
+_REQUIRED = object()
+_OMIT = object()
+
+
+def _resolve(node, path, table, root=None):
+    """Check one config object against its field table; return it with every default materialized.
+
+    table maps each allowed key to (check, default), in output order. A check
+    is a nested table or a function (value, path) -> resolved value; a default
+    is _REQUIRED, _OMIT, a value, or a function of root, the config resolved
+    so far. Defaults are checked like given values.
+    """
+    node = _require_map(node, path)
+    for key in node:
+        if key not in table:
+            raise ConfigError(path, f"unknown key '{key}' (allowed: {', '.join(sorted(table))})")
+    out = {}
+    root = out if root is None else root
+    for key, (check, default) in table.items():
+        if key in node:
+            value = node[key]
+        elif default is _REQUIRED:
+            raise ConfigError(path, f"missing required field '{key}'")
+        elif default is _OMIT:
+            continue
+        else:
+            value = default(root) if callable(default) else default
+        field = f"{path}.{key}" if path else key
+        out[key] = _resolve(value, field, check, root) if isinstance(check, dict) else check(value, field)
+    return out
+
+
 # config type name -> primitive class, per scatterer part; a primitive's
 # config fields are its slot_names
 _PRIMITIVE_TYPES = {
@@ -121,24 +139,24 @@ _PRIMITIVE_TYPES = {
 }
 
 
-def _resolve_primitive(node, path, types):
-    node = _require_map(node, path)
-    kind = _as_str(_pop(node, "type", path, required=True), f"{path}.type", set(types))
-    fields = types[kind].slot_names
-    _check_keys(node, path, {"type", *fields})
-    return {"type": kind, **{f: _as_float(_pop(node, f, path, required=True), f"{path}.{f}") for f in fields}}
+def _primitive(types):
+    """The check of one scatterer part, whose `type` selects the slot fields allowed beside it."""
+    type_field = {"type": (partial(_as_str, choices=set(types)), _REQUIRED)}
+
+    def check(node, path):
+        # the type is resolved first, since it decides which other keys are unknown
+        given = {"type": node["type"]} if "type" in _require_map(node, path) else {}
+        kind = _resolve(given, path, type_field)["type"]
+        slots = dict.fromkeys(types[kind].slot_names, (_as_float, _REQUIRED))
+        return _resolve(node, path, {**type_field, **slots})
+
+    return check
 
 
-def _resolve_scatterer(node, path):
-    node = _require_map(node, path)
-    _check_keys(node, path, {"description", *_PRIMITIVE_TYPES})
-    resolved = {
-        part: _resolve_primitive(_pop(node, part, path, required=True), f"{path}.{part}", types)
-        for part, types in _PRIMITIVE_TYPES.items()
-    }
-    if "description" in node:
-        resolved["description"] = _as_str(node["description"], f"{path}.description")
-    return resolved
+_SCATTERER = {
+    **{part: (_primitive(types), _REQUIRED) for part, types in _PRIMITIVE_TYPES.items()},
+    "description": (_as_str, _OMIT),
+}
 
 
 def _build_scatterer(resolved, path):
@@ -154,12 +172,83 @@ def _build_scatterer(resolved, path):
     return Scatterer(parts["amplitude"], parts["position"])
 
 
-def _resolve_model(node, path):
+def _model(node, path):
     if not isinstance(node, list) or not node:
         raise ConfigError(path, "expected a non-empty list of scatterers")
-    resolved = [_resolve_scatterer(item, f"{path}[{i}]") for i, item in enumerate(node)]
-    model = PointScatteringModel(tuple(_build_scatterer(r, f"{path}[{i}]") for i, r in enumerate(resolved)))
-    return resolved, model
+    resolved = []
+    for i, item in enumerate(node):
+        resolved.append(_resolve(item, f"{path}[{i}]", _SCATTERER))
+        _build_scatterer(resolved[-1], f"{path}[{i}]")
+    return resolved
+
+
+def _sightlines(lines, path):
+    if not isinstance(lines, list) or not lines:
+        raise ConfigError(path, "expected a non-empty list of [x, y, z] vectors")
+    resolved = []
+    for i, vec in enumerate(lines):
+        p = f"{path}[{i}]"
+        if not isinstance(vec, list) or len(vec) != 3:
+            raise ConfigError(p, "expected a 3-component vector")
+        resolved.append([_as_float(c, f"{p}[{k}]") for k, c in enumerate(vec)])
+        try:
+            SightLine(resolved[-1])
+        except (ValueError, DegenerateGeometryError) as exc:
+            raise ConfigError(p, str(exc)) from exc
+    return resolved
+
+
+_POSITIVE = partial(_as_float, minimum=0.0, exclusive=True)
+_NON_NEGATIVE = partial(_as_float, minimum=0.0)
+_COUNT = partial(_as_int, minimum=1)
+
+_CONFIG = {
+    "description": (_as_str, _OMIT),
+    "waveform": ({
+        "bandwidth_hz": (_POSITIVE, _REQUIRED),
+        "duration_s": (_POSITIVE, 1e-6),
+        "center_frequency_hz": (_POSITIVE, _REQUIRED),
+        "amplitude": (_POSITIVE, 1.0),
+    }, _REQUIRED),
+    "grid": ({
+        "b0_m": (_as_float, -5.0),
+        "delta_m": (_POSITIVE, lambda cfg: C_LIGHT / (4.0 * cfg["waveform"]["bandwidth_hz"])),
+        "m_samples": (_COUNT, 67),
+    }, {}),
+    "scatterers": (_model, _REQUIRED),
+    "geometry": ({
+        "description": (_as_str, _OMIT),
+        "sightlines": (_sightlines, _OMIT),
+        "sweep": ({
+            "azimuth_start": (_as_float, 0.0),
+            "azimuth_stop": (_as_float, 2.0 * math.pi),
+            "count": (_COUNT, _REQUIRED),
+            "elevation": (_as_float, 0.0),
+        }, _OMIT),
+    }, _REQUIRED),
+    "noise": ({
+        "sigma2": (_NON_NEGATIVE, 0.0),
+        "seed": (partial(_as_int, minimum=0), 0),
+    }, {}),
+    "fit": ({
+        "strategy": (partial(_as_str, choices={"coherent", "noncoherent", "sequential"}), _REQUIRED),
+        "weight": (
+            partial(_as_str, choices={"identity", "inverse_noise"}),
+            lambda cfg: "inverse_noise" if cfg["noise"]["sigma2"] > 0.0 else "identity",
+        ),
+        "initial_model": (_model, _REQUIRED),
+        "descent": ({
+            "max_iters": (_COUNT, DescentConfig.max_iters),
+            "loss_rel_tol": (_NON_NEGATIVE, DescentConfig.loss_rel_tol),
+            "grad_norm_tol": (_NON_NEGATIVE, DescentConfig.grad_norm_tol),
+            "line_search": ({
+                "bracket_growth": (partial(_as_float, minimum=1.0, exclusive=True), LineSearchConfig.bracket_growth),
+                "max_bracket_steps": (_COUNT, LineSearchConfig.max_bracket_steps),
+                "section_tol": (_POSITIVE, LineSearchConfig.section_tol),
+            }, {}),
+        }, {}),
+    }, _OMIT),
+}
 
 
 def resolve_config(raw: dict, need_fit: bool = False, seed_override: int | None = None) -> dict:
@@ -168,135 +257,16 @@ def resolve_config(raw: dict, need_fit: bool = False, seed_override: int | None 
     Returns a plain dict (the resolved config); build_* helpers below turn
     its blocks into domain objects. Raises ConfigError on any violation.
     """
-    raw = _require_map(raw, "")
-    _check_keys(raw, "", {"description", "waveform", "grid", "scatterers", "geometry", "noise", "fit"})
-    out = {}
-    if "description" in raw:
-        out["description"] = _as_str(raw["description"], "description")
-
-    wf = _require_map(_pop(raw, "waveform", "", required=True), "waveform")
-    _check_keys(wf, "waveform", {"bandwidth_hz", "duration_s", "center_frequency_hz", "amplitude"})
-    bandwidth = _as_float(_pop(wf, "bandwidth_hz", "waveform", required=True), "waveform.bandwidth_hz", 0.0, exclusive=True)
-    out["waveform"] = {
-        "bandwidth_hz": bandwidth,
-        "duration_s": _as_float(_pop(wf, "duration_s", "waveform", default=1e-6), "waveform.duration_s", 0.0, exclusive=True),
-        "center_frequency_hz": _as_float(
-            _pop(wf, "center_frequency_hz", "waveform", required=True), "waveform.center_frequency_hz", 0.0, exclusive=True
-        ),
-        "amplitude": _as_float(_pop(wf, "amplitude", "waveform", default=1.0), "waveform.amplitude", 0.0, exclusive=True),
-    }
-
-    grid = _require_map(_pop(raw, "grid", "", default={}), "grid")
-    _check_keys(grid, "grid", {"b0_m", "delta_m", "m_samples"})
-    out["grid"] = {
-        "b0_m": _as_float(_pop(grid, "b0_m", "grid", default=-5.0), "grid.b0_m"),
-        "delta_m": _as_float(
-            _pop(grid, "delta_m", "grid", default=C_LIGHT / (4.0 * bandwidth)), "grid.delta_m", 0.0, exclusive=True
-        ),
-        "m_samples": _as_int(_pop(grid, "m_samples", "grid", default=67), "grid.m_samples", 1),
-    }
-
-    out["scatterers"], _ = _resolve_model(_pop(raw, "scatterers", "", required=True), "scatterers")
-
-    geom = _require_map(_pop(raw, "geometry", "", required=True), "geometry")
-    _check_keys(geom, "geometry", {"description", "sightlines", "sweep"})
-    has_lines = "sightlines" in geom
-    has_sweep = "sweep" in geom
-    if has_lines == has_sweep:
+    out = _resolve(raw, "", _CONFIG)
+    if ("sightlines" in out["geometry"]) == ("sweep" in out["geometry"]):
         raise ConfigError("geometry", "give exactly one of 'sightlines' or 'sweep'")
-    out["geometry"] = {}
-    if "description" in geom:
-        out["geometry"]["description"] = _as_str(geom["description"], "geometry.description")
-    if has_lines:
-        lines = geom["sightlines"]
-        if not isinstance(lines, list) or not lines:
-            raise ConfigError("geometry.sightlines", "expected a non-empty list of [x, y, z] vectors")
-        resolved_lines = []
-        for i, vec in enumerate(lines):
-            p = f"geometry.sightlines[{i}]"
-            if not isinstance(vec, list) or len(vec) != 3:
-                raise ConfigError(p, "expected a 3-component vector")
-            resolved_lines.append([_as_float(c, f"{p}[{k}]") for k, c in enumerate(vec)])
-            try:
-                SightLine(resolved_lines[-1])
-            except (ValueError, DegenerateGeometryError) as exc:
-                raise ConfigError(p, str(exc)) from exc
-        out["geometry"]["sightlines"] = resolved_lines
-    else:
-        sweep = _require_map(geom["sweep"], "geometry.sweep")
-        _check_keys(sweep, "geometry.sweep", {"azimuth_start", "azimuth_stop", "count", "elevation"})
-        out["geometry"]["sweep"] = {
-            "azimuth_start": _as_float(_pop(sweep, "azimuth_start", "geometry.sweep", default=0.0), "geometry.sweep.azimuth_start"),
-            "azimuth_stop": _as_float(
-                _pop(sweep, "azimuth_stop", "geometry.sweep", default=2.0 * math.pi), "geometry.sweep.azimuth_stop"
-            ),
-            "count": _as_int(_pop(sweep, "count", "geometry.sweep", required=True), "geometry.sweep.count", 1),
-            "elevation": _as_float(_pop(sweep, "elevation", "geometry.sweep", default=0.0), "geometry.sweep.elevation"),
-        }
-
-    noise = _require_map(_pop(raw, "noise", "", default={}), "noise")
-    _check_keys(noise, "noise", {"sigma2", "seed"})
-    out["noise"] = {
-        "sigma2": _as_float(_pop(noise, "sigma2", "noise", default=0.0), "noise.sigma2", 0.0),
-        "seed": _as_int(_pop(noise, "seed", "noise", default=0), "noise.seed", 0),
-    }
     if seed_override is not None:
         out["noise"]["seed"] = seed_override
-
-    fit = _pop(raw, "fit", "")
-    if fit is None:
+    if "fit" not in out:
         if need_fit:
             raise ConfigError("", "missing required field 'fit'")
-    else:
-        fit = _require_map(fit, "fit")
-        _check_keys(fit, "fit", {"strategy", "initial_model", "descent", "weight"})
-        strategy = _as_str(
-            _pop(fit, "strategy", "fit", required=True), "fit.strategy", {"coherent", "noncoherent", "sequential"}
-        )
-        initial, _ = _resolve_model(_pop(fit, "initial_model", "fit", required=True), "fit.initial_model")
-        descent = _require_map(_pop(fit, "descent", "fit", default={}), "fit.descent")
-        _check_keys(descent, "fit.descent", {"max_iters", "loss_rel_tol", "grad_norm_tol", "line_search"})
-        ls = _require_map(_pop(descent, "line_search", "fit.descent", default={}), "fit.descent.line_search")
-        _check_keys(ls, "fit.descent.line_search", {"bracket_growth", "max_bracket_steps", "section_tol"})
-        default_weight = "inverse_noise" if out["noise"]["sigma2"] > 0.0 else "identity"
-        weight = _as_str(
-            _pop(fit, "weight", "fit", default=default_weight), "fit.weight", {"identity", "inverse_noise"}
-        )
-        if weight == "inverse_noise" and out["noise"]["sigma2"] <= 0.0:
-            raise ConfigError("fit.weight", "'inverse_noise' needs noise.sigma2 > 0")
-        out["fit"] = {
-            "strategy": strategy,
-            "weight": weight,
-            "initial_model": initial,
-            "descent": {
-                "max_iters": _as_int(
-                    _pop(descent, "max_iters", "fit.descent", default=DescentConfig.max_iters),
-                    "fit.descent.max_iters", 1,
-                ),
-                "loss_rel_tol": _as_float(
-                    _pop(descent, "loss_rel_tol", "fit.descent", default=DescentConfig.loss_rel_tol),
-                    "fit.descent.loss_rel_tol", 0.0,
-                ),
-                "grad_norm_tol": _as_float(
-                    _pop(descent, "grad_norm_tol", "fit.descent", default=DescentConfig.grad_norm_tol),
-                    "fit.descent.grad_norm_tol", 0.0,
-                ),
-                "line_search": {
-                    "bracket_growth": _as_float(
-                        _pop(ls, "bracket_growth", "fit.descent.line_search", default=LineSearchConfig.bracket_growth),
-                        "fit.descent.line_search.bracket_growth", 1.0, exclusive=True,
-                    ),
-                    "max_bracket_steps": _as_int(
-                        _pop(ls, "max_bracket_steps", "fit.descent.line_search", default=LineSearchConfig.max_bracket_steps),
-                        "fit.descent.line_search.max_bracket_steps", 1,
-                    ),
-                    "section_tol": _as_float(
-                        _pop(ls, "section_tol", "fit.descent.line_search", default=LineSearchConfig.section_tol),
-                        "fit.descent.line_search.section_tol", 0.0, exclusive=True,
-                    ),
-                },
-            },
-        }
+    elif out["fit"]["weight"] == "inverse_noise" and out["noise"]["sigma2"] <= 0.0:
+        raise ConfigError("fit.weight", "'inverse_noise' needs noise.sigma2 > 0")
     return out
 
 
@@ -325,17 +295,7 @@ def build_sightlines(cfg) -> list[SightLine]:
 
 
 def build_descent(block) -> DescentConfig:
-    ls = block["line_search"]
-    return DescentConfig(
-        max_iters=block["max_iters"],
-        loss_rel_tol=block["loss_rel_tol"],
-        grad_norm_tol=block["grad_norm_tol"],
-        line_search=LineSearchConfig(
-            bracket_growth=ls["bracket_growth"],
-            max_bracket_steps=ls["max_bracket_steps"],
-            section_tol=ls["section_tol"],
-        ),
-    )
+    return DescentConfig(**{**block, "line_search": LineSearchConfig(**block["line_search"])})
 
 
 def build_weight(cfg) -> WeightMatrix:
@@ -446,9 +406,9 @@ def parse_sweep_range(spec: str) -> np.ndarray:
         raise ConfigError("--range", "lo and hi must be finite")
     if hi < lo:
         raise ConfigError("--range", f"hi must be >= lo, got {spec!r}")
-    if lo == hi:
-        return np.array([lo])
-    if steps < 2:
+    if steps < 1:
+        raise ConfigError("--range", f"need at least 1 step, got {steps}")
+    if lo < hi and steps < 2:
         raise ConfigError("--range", "need at least 2 steps when lo < hi")
     return np.linspace(lo, hi, steps)
 

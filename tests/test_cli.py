@@ -1,8 +1,10 @@
 """End-to-end CLI behavior: configs, outputs, exit codes."""
 
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -222,6 +224,8 @@ CONFIG_FAULTS = [
      "fit: missing required field 'initial_model'"),
     ("missing-fit", {("fit",): DROP},
      "missing required field 'fit'"),
+    ("null-fit", {("fit",): None},
+     "fit: expected an object, got NoneType"),
     ("string-for-number", {("waveform", "duration_s"): "1us"},
      "waveform.duration_s: expected a number, got '1us'"),
     ("float-for-integer", {("grid", "m_samples"): 31.5},
@@ -381,8 +385,9 @@ def test_degenerate_aspect_is_an_evaluation_error(tmp_path, capsys):
 
 def test_parse_sweep_range():
     assert np.array_equal(parse_sweep_range("0:0:1"), [0.0])
+    assert np.array_equal(parse_sweep_range("0:0:5"), [0.0] * 5)
     assert np.allclose(parse_sweep_range("-0.1:0.1:5"), np.linspace(-0.1, 0.1, 5))
-    for bad in ("1:2", "a:b:3", "0:1:1", "2:1:5", "inf:1:3"):
+    for bad in ("1:2", "a:b:3", "0:1:1", "2:1:5", "inf:1:3", "0:0:0", "0:0:-3"):
         with pytest.raises(ConfigError):
             parse_sweep_range(bad)
 
@@ -643,6 +648,24 @@ def test_resolve_config_materializes_defaults():
     with_fit = resolve_config(base_config(sigma2=0.01, fit=fit_block()), need_fit=True)
     assert with_fit["fit"]["weight"] == "inverse_noise"
     assert with_fit["fit"]["descent"]["line_search"]["bracket_growth"] == 2.0
+
+
+def _table_keys(table):
+    keys = set(table)
+    for check, _ in table.values():
+        if isinstance(check, dict):
+            keys |= _table_keys(check)
+    return keys
+
+
+def test_readme_schema_names_every_config_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    schema = readme.split("### Config schema", 1)[1].split("```jsonc", 1)[1].split("```", 1)[0]
+    types = cli._PRIMITIVE_TYPES.values()
+    slots = {name for kinds in types for cls in kinds.values() for name in cls.slot_names}
+    keys = _table_keys(cli._CONFIG) | _table_keys(cli._SCATTERER) | {"type"} | slots
+    assert set(re.findall(r'"(\w+)"\s*:', schema)) == keys
+    assert set(re.findall(r'"type":\s*"(\w+)"', schema)) == {name for kinds in types for name in kinds}
 
 
 def test_module_entry_point(tmp_path):

@@ -1,6 +1,7 @@
 """Invariants of the one forward pass, the stack-aware losses and the bound, over random inputs."""
 
 import dataclasses
+import json
 import re
 from pathlib import Path
 
@@ -36,6 +37,7 @@ from scatterfit import (
     synthesize_profiles,
 )
 from conftest import POSITION_KINDS, rel_err
+from scatterfit.cli import _PRIMITIVE_TYPES, resolve_config
 from scatterfit.waveform import _SMALL_ARG
 
 PROPERTY = settings(max_examples=60, deadline=None)
@@ -441,6 +443,90 @@ def test_line_search_survives_a_non_finite_tail(ray, factor, tol, cut, bad):
     assert abs(step - a) <= tol * a
     assert _bracket_width(steps, a) <= tol * step
     assert min(steps) > 0.0
+
+
+# valid config values: each inside its field's bounds, integers where a float is accepted too
+_number = st.one_of(_real(-10.0, 10.0), st.integers(-10, 10))
+_positive = st.one_of(_log_uniform(-6.0, 10.0), st.integers(1, 10))
+_non_negative = st.one_of(st.just(0), _log_uniform(-8.0, 2.0))
+_count = st.integers(1, 500)
+_text = st.text(max_size=8)
+
+
+def _part(kinds):
+    return st.one_of(*(
+        st.fixed_dictionaries({"type": st.just(name), **dict.fromkeys(cls.slot_names, _real(0.0, 2.0))})
+        for name, cls in kinds.items()
+    ))
+
+
+_scatterer_lists = st.lists(
+    st.fixed_dictionaries(
+        {part: _part(kinds) for part, kinds in _PRIMITIVE_TYPES.items()}, optional={"description": _text}
+    ),
+    min_size=1,
+    max_size=3,
+)
+_vectors = st.lists(st.one_of(_real(-1.0, 1.0), st.integers(-1, 1)), min_size=3, max_size=3)
+_geometries = st.one_of(
+    st.fixed_dictionaries(
+        {"sightlines": st.lists(_vectors.filter(lambda v: sum(c * c for c in v) > 0.01), min_size=1, max_size=4)},
+        optional={"description": _text},
+    ),
+    st.fixed_dictionaries(
+        {"sweep": st.fixed_dictionaries(
+            {"count": _count}, optional={"azimuth_start": _number, "azimuth_stop": _number, "elevation": _number}
+        )},
+        optional={"description": _text},
+    ),
+)
+_fits = st.fixed_dictionaries(
+    {"strategy": st.sampled_from(("coherent", "noncoherent", "sequential")), "initial_model": _scatterer_lists},
+    optional={
+        "weight": st.just("identity"),
+        "descent": st.fixed_dictionaries({}, optional={
+            "max_iters": _count,
+            "loss_rel_tol": _non_negative,
+            "grad_norm_tol": _non_negative,
+            "line_search": st.fixed_dictionaries({}, optional={
+                "bracket_growth": st.one_of(st.floats(1.0, 10.0, exclude_min=True), st.integers(2, 10)),
+                "max_bracket_steps": _count,
+                "section_tol": _log_uniform(-8.0, 0.0),
+            }),
+        }),
+    },
+)
+
+
+@st.composite
+def raw_configs(draw):
+    """Valid configs: random subsets of the optional blocks and fields, and either geometry source."""
+    raw = draw(st.fixed_dictionaries(
+        {
+            "waveform": st.fixed_dictionaries(
+                {"bandwidth_hz": _positive, "center_frequency_hz": _positive},
+                optional={"duration_s": _positive, "amplitude": _positive},
+            ),
+            "scatterers": _scatterer_lists,
+            "geometry": _geometries,
+        },
+        optional={
+            "description": _text,
+            "grid": st.fixed_dictionaries({}, optional={"b0_m": _number, "delta_m": _positive, "m_samples": _count}),
+            "noise": st.fixed_dictionaries({}, optional={"sigma2": _non_negative, "seed": st.integers(0, 2**40)}),
+            "fit": _fits,
+        },
+    ))
+    if "fit" in raw and raw.get("noise", {}).get("sigma2", 0) > 0 and draw(st.booleans()):
+        raw["fit"]["weight"] = "inverse_noise"
+    return raw
+
+
+@PROPERTY
+@given(raw_configs())
+def test_resolving_a_resolved_config_changes_nothing(raw):
+    once = resolve_config(raw)
+    assert json.dumps(resolve_config(once)) == json.dumps(once)
 
 
 def test_all_names_resolve():
