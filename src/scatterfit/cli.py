@@ -462,6 +462,7 @@ def _fit_report_json(report: FitReport, model: PointScatteringModel, strategy: s
         "strategy": strategy,
         "status": report.status,
         "phase_statuses": list(report.phase_statuses),
+        "phase_stop_reasons": list(report.phase_stop_reasons),
         "iterations": report.iterations,
         "loss_evals": report.loss_evals,
         "phase_loss_evals": list(report.phase_loss_evals),

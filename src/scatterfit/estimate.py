@@ -19,7 +19,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .loss import Observation, WeightMatrix, _as_batch, _Batch, batch_gradient, batch_loss
+from .loss import WeightMatrix, _as_batch, _Batch, batch_gradient, batch_loss
 from .model import PointScatteringModel, RangeGrid, profile_jacobians, synthesize_profiles
 from .waveform import WaveformKernel
 
@@ -81,6 +81,9 @@ class FitReport:
     grad_evals: int  # batch_gradient calls
     phase_statuses: tuple[str, ...]  # one status per phase, in phase order
     phase_loss_evals: tuple[int, ...]  # batch_loss calls per phase, in phase order
+    # the rule that ended each phase, in phase order: "grad_norm" or "loss_window"
+    # (both "converged"), "max_iters" or "stalled"
+    phase_stop_reasons: tuple[str, ...]
     phase_boundary: int | None = None  # trace index where the coherent phase starts
 
     @property
@@ -194,10 +197,11 @@ def line_search(
     return _brent(f, lo, mid, hi, f_mid, cfg.section_tol) + (False,)
 
 
-def _as_observations(data) -> list[Observation]:
-    if hasattr(data, "observations"):
-        return list(data.observations)
-    return list(data)
+def _plan(data) -> _Batch:
+    """A fit's evaluation plan: data's observations stacked and checked once, or a plan passed through."""
+    if isinstance(data, _Batch):
+        return data
+    return _as_batch(list(data.observations) if hasattr(data, "observations") else list(data))
 
 
 def _residual(batch: _Batch, model: PointScatteringModel, wf: WaveformKernel) -> np.ndarray:
@@ -220,10 +224,13 @@ def gradient_descent(
     step accepted two iterations back: steepest descent with exact steps
     zig-zags, so its step lengths alternate.  The noncoherent loss keeps the
     far seed, whose first probe can reach a deeper basin along the ray.
-    Stops on a relative gradient-norm drop, on a flat loss window, or at
-    max_iters.
+    Stops on a relative gradient-norm drop ("grad_norm"), on a flat loss
+    window ("loss_window"), both status "converged", on a search that finds
+    no decrease ("stalled"), or at max_iters; phase_stop_reasons names the
+    rule.  The observations are stacked once into the fit's evaluation plan,
+    which every batch_loss and batch_gradient call reads.
     """
-    obs = _as_batch(_as_observations(data))  # stacked and checked once per fit
+    obs = _plan(data)  # every loss and gradient call of the fit reads this plan
     w = w or WeightMatrix.identity()
     theta = model0.pack()
     loss_evals = grad_evals = 0
@@ -245,11 +252,11 @@ def gradient_descent(
     losses = [current]
     gnorms = [gnorm]
     steps = []  # accepted step lengths
-    status = "max_iters"
+    reason = "max_iters"
     iterations = 0
     for _ in range(cfg.max_iters):
         if gnorm <= cfg.grad_norm_tol * gnorm0:
-            status = "converged"
+            reason = "grad_norm"
             break
         if kind == "coherent" and len(steps) >= 2:
             seed = steps[-2]
@@ -259,7 +266,7 @@ def gradient_descent(
             lambda s: loss_at(theta - s * grad), current, seed, cfg.line_search
         )
         if stalled:
-            status = "stalled"
+            reason = "stalled"
             break
         steps.append(eta)
         theta = theta - eta * grad
@@ -272,8 +279,9 @@ def gradient_descent(
         if len(losses) >= 4:
             anchor = losses[-4]
             if anchor - current <= cfg.loss_rel_tol * max(anchor, np.finfo(float).tiny):
-                status = "converged"
+                reason = "loss_window"
                 break
+    status = "converged" if reason in ("grad_norm", "loss_window") else reason
     fitted = model0.unpack(theta)
     return FitReport(
         model=fitted,
@@ -287,6 +295,7 @@ def gradient_descent(
         grad_evals=grad_evals,
         phase_statuses=(status,),
         phase_loss_evals=(loss_evals,),
+        phase_stop_reasons=(reason,),
     )
 
 
@@ -305,12 +314,13 @@ def sequential_fit(
     The combined trace concatenates both phases; phase_boundary is the index
     of the first coherent entry (the two phases score different losses, so
     the trace is only monotone within a phase). status is the coherent
-    phase's; phase_statuses and phase_loss_evals hold one entry per phase,
-    noncoherent first. rough_cfg and fine_cfg override cfg for their phase
-    when the two need different budgets.
+    phase's; phase_statuses, phase_loss_evals and phase_stop_reasons hold one
+    entry per phase, noncoherent first. rough_cfg and fine_cfg override cfg
+    for their phase when the two need different budgets.
     """
-    rough = gradient_descent(data, model0, wf, "noncoherent", w, rough_cfg or cfg)
-    fine = gradient_descent(data, rough.model, wf, "coherent", w, fine_cfg or cfg)
+    plan = _plan(data)  # one evaluation plan serves both phases
+    rough = gradient_descent(plan, model0, wf, "noncoherent", w, rough_cfg or cfg)
+    fine = gradient_descent(plan, rough.model, wf, "coherent", w, fine_cfg or cfg)
     merged = [v for _, v in rough.loss_trace] + [v for _, v in fine.loss_trace]
     return FitReport(
         model=fine.model,
@@ -324,6 +334,7 @@ def sequential_fit(
         grad_evals=rough.grad_evals + fine.grad_evals,
         phase_statuses=rough.phase_statuses + fine.phase_statuses,
         phase_loss_evals=rough.phase_loss_evals + fine.phase_loss_evals,
+        phase_stop_reasons=rough.phase_stop_reasons + fine.phase_stop_reasons,
         phase_boundary=len(rough.loss_trace),
     )
 

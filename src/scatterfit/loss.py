@@ -19,6 +19,14 @@ last two are batch axes.  So profiles (B, K, m) and Jacobians (B, K, m, P)
 from a stack of B slot vectors, against one observed (K, m) or (m,), give
 (B,) losses and (B, P) gradients, and each loss is bit-identical to the
 call on its row.
+
+batch_loss and batch_gradient take a list of observations or a fit's
+evaluation plan, the stack a fit builds from them once: the samples z and
+their moduli |z|, the read-only (K, 3) sight-line stack and the bins.  A
+call on the plan rebuilds none of these, and a position primitive's
+sight-line-only terms are kept for the plan's line stack; the geometry,
+lags, kernel and loss that depend on theta run per call, and give the same
+bits as a call on the listed observations.
 """
 
 from __future__ import annotations
@@ -28,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import SightLine
-from .model import PointScatteringModel, RangeGrid, profile_jacobians, synthesize_profiles
+from .model import PointScatteringModel, RangeGrid, _GridStack, profile_jacobians, synthesize_profiles
 from .waveform import WaveformKernel
 
 
@@ -82,9 +90,9 @@ class WeightMatrix:
 def _quad(w: WeightMatrix, r: np.ndarray) -> float | np.ndarray:
     """r^H W r summed over the bins, then over the aspects of a (K, m) stack;
     r's batch axes, those before the last two, are kept."""
-    total = np.sum((np.conj(r) * w.apply(r)).real, axis=-1)
+    total = np.add.reduce((np.conj(r) * w.apply(r)).real, axis=-1)
     if r.ndim >= 2:
-        total = total.sum(axis=-1)
+        total = np.add.reduce(total, axis=-1)
     return float(total) if total.ndim == 0 else total
 
 
@@ -144,10 +152,14 @@ def noncoherent_loss_gradient(
     That is 2 Re{G^T v} with v = conj(U) W (|g| - |z|); bins with |g| below
     the clamp get a zero subgradient.
     """
-    g = np.asarray(g)
+    return _noncoherent_gradient(np.abs(z), np.asarray(g), jac, w, clamp)
+
+
+def _noncoherent_gradient(abs_z: np.ndarray, g: np.ndarray, jac: np.ndarray, w: WeightMatrix, clamp: float) -> np.ndarray:
+    """noncoherent_loss_gradient given the observed moduli |z|."""
     mag = np.abs(g)
     live = mag >= (clamp if clamp > 0.0 else np.finfo(float).tiny)
-    per_mag = np.divide(w.apply(mag - np.abs(z)), mag, out=np.zeros(mag.shape), where=live)
+    per_mag = np.divide(w.apply(mag - abs_z), mag, out=np.zeros(mag.shape), where=live)
     return _gradient(jac, np.conj(g) * per_mag)
 
 
@@ -158,12 +170,22 @@ def noncoherent_clamp(wf: WaveformKernel) -> float:
 
 @dataclass(frozen=True)
 class _Batch:
-    """Observations stacked once: samples (K, m), sight lines (K, 3), and
-    their one shared grid or their K grids."""
+    """A fit's evaluation plan: its observations stacked and checked once.
+
+    It holds the samples z (K, m) and their moduli |z|, the read-only
+    sight-line stack (K, 3), and the one grid the observations share or
+    their K grids with the (K, m) bins stacked once.  Every loss and
+    gradient call of the fit reads these instead of rebuilding them, and a
+    primitive's sight-line-only terms (a slipping ring's azimuth direction)
+    are kept for the fit's line stack after the first call that needs them.
+    What depends on theta, the geometry, the lags and the kernel, is
+    evaluated per call.
+    """
 
     z: np.ndarray
+    abs_z: np.ndarray
     lines: np.ndarray
-    grid: RangeGrid | tuple[RangeGrid, ...]
+    grid: RangeGrid | _GridStack
 
 
 def _as_batch(observations: list[Observation] | _Batch) -> _Batch:
@@ -176,11 +198,12 @@ def _as_batch(observations: list[Observation] | _Batch) -> _Batch:
     if any(g.m != grids[0].m for g in grids):
         raise ValueError("all observations must share the same number of bins")
     # np.array, not np.stack: the same (K, m) copy at a fraction of the call cost
-    return _Batch(
-        np.array([o.z for o in observations]),
-        np.array([o.line.vec for o in observations]),
-        grids[0] if all(g == grids[0] for g in grids) else grids,
-    )
+    z = np.array([o.z for o in observations])
+    lines = np.array([o.line.vec for o in observations])
+    abs_z = np.abs(z)
+    for a in (z, abs_z, lines):
+        a.setflags(write=False)
+    return _Batch(z, abs_z, lines, grids[0] if all(g == grids[0] for g in grids) else _GridStack(grids))
 
 
 def _checked(observations: list[Observation] | _Batch, w: WeightMatrix, kind: str) -> _Batch:
@@ -206,7 +229,9 @@ def batch_loss(
     """
     batch = _checked(observations, w, kind)
     g = synthesize_profiles(model, wf, batch.grid, batch.lines)
-    return (coherent_loss if kind == "coherent" else noncoherent_loss)(batch.z, g, w)
+    if kind == "coherent":
+        return _quad(w, batch.z - g)
+    return _quad(w, batch.abs_z - np.abs(g))
 
 
 def batch_gradient(
@@ -221,4 +246,4 @@ def batch_gradient(
     g, jac = profile_jacobians(model, wf, batch.grid, batch.lines)
     if kind == "coherent":
         return coherent_loss_gradient(batch.z, g, jac, w)
-    return noncoherent_loss_gradient(batch.z, g, jac, w, noncoherent_clamp(wf))
+    return _noncoherent_gradient(batch.abs_z, g, jac, w, noncoherent_clamp(wf))

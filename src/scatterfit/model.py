@@ -29,6 +29,15 @@ stack axis: (B, N, K, m) lags and a (B, P, K, m) Jacobian.  Each row of
 them is laid out as the arrays of a pass over that row alone, so every
 product and sum runs in the same order, and the profiles (B, K, m) and
 Jacobians (B, K, m, P) are bit-identical, row by row, to B separate passes.
+
+What stays fixed through a fit is not rebuilt per call.  A (K, 3) float
+line stack, such as the read-only one a fit's plan holds, passes through
+unconverted; a stack of per-aspect grids built by the plan carries its
+(K, m) bins; a slipping ring keeps its azimuth direction for a read-only
+line stack; and the kernel's scalar factors live on the waveform.  Each
+call still forms the projected ranges, amplitudes, carrier phase, lags
+(b + p.l)*2/c and kernel from theta: the bin part 2*b/c is not hoisted,
+because 2*b/c + 2*(p.l)/c rounds differently from (b + p.l)*2/c.
 """
 
 from __future__ import annotations
@@ -173,8 +182,22 @@ class PointScatteringModel:
         return model
 
 
+_FLOAT = np.dtype(float)
+
+try:  # np.einsum without optimize calls this C function after a Python dispatch layer
+    from numpy._core.multiarray import c_einsum as _einsum
+except ImportError:  # pragma: no cover - other numpy layouts
+    _einsum = np.einsum
+
+
 def _as_line_stack(lines) -> np.ndarray:
-    """Sight lines as a (K, 3) array: one SightLine, a list or tuple of them, or vectors."""
+    """Sight lines as a (K, 3) array: one SightLine, a list or tuple of them, or vectors.
+
+    A (K, 3) float array, such as the read-only stack a fit prepares, is
+    passed through as is.
+    """
+    if type(lines) is np.ndarray and lines.dtype is _FLOAT and lines.ndim == 2 and lines.shape[1] == 3:
+        return lines
     if isinstance(lines, SightLine):
         return lines.vec[None, :]
     if isinstance(lines, (list, tuple)):
@@ -195,32 +218,36 @@ def _theta_stack(model: PointScatteringModel, thetas) -> np.ndarray:
     return stack
 
 
-def _slot_rows(theta: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """A type group's slot rows: (n, n_slots) from one theta (P,), or from a
+def _group_slots(groups, theta: np.ndarray) -> list[np.ndarray]:
+    """Each type group's slot rows: (n, n_slots) from one theta (P,), or from a
     stack (B, P) the (B*n, n_slots) rows of its B copies, stack-major."""
-    return theta[cols] if theta.ndim == 1 else theta.take(cols, axis=1).reshape(-1, cols.shape[1])
-
-
-def _unfold(values: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """A primitive's result over the slot rows of theta: as is for one theta
-    (P,); for a stack (B, P), with the stack axis split out, (B*n, ...) ->
-    (B, n, ...), and a broadcast (1, ...) -> (1, 1, ...)."""
     if theta.ndim == 1:
-        return values
-    return values.reshape((len(theta) if len(values) > 1 else 1, -1) + values.shape[1:])
+        return [theta[cols] for _, _, cols, _ in groups]
+    return [theta.take(cols, axis=1).reshape(-1, cols.shape[1]) for _, _, cols, _ in groups]
 
 
-def _projected_ranges(layout: _Layout, theta: np.ndarray, lines: np.ndarray, at: tuple) -> np.ndarray:
-    """p.l for every scatterer and sight line, (N, K) or, for a stack, (B, N, K),
-    with the scatterer named on error.  at indexes the stack axis: () or (:,)."""
+def _unfold(values: np.ndarray, b: int) -> np.ndarray:
+    """A primitive's result over the (B*n, n_slots) rows of a stack of b slot
+    vectors, with the stack axis split out: (B*n, ...) -> (B, n, ...), and a
+    broadcast (1, ...) -> (1, 1, ...)."""
+    return values.reshape((b if len(values) > 1 else 1, -1) + values.shape[1:])
+
+
+def _projected_ranges(layout: _Layout, slots: list[np.ndarray], lines: np.ndarray, stack: int | None) -> np.ndarray:
+    """p.l for every scatterer and sight line, (N, K) or, for a stack of that
+    many slot vectors, (B, N, K), with the scatterer named on error.  slots
+    holds each position group's slot rows."""
     n = len(layout.prototypes)
-    pl = np.empty(theta.shape[:-1] + (n, lines.shape[0]))
-    for kind, rows, cols, _ in layout.positions:
+    pl = np.empty((n, lines.shape[0]) if stack is None else (stack, n, lines.shape[0]))
+    for (kind, rows, _, _), group_slots in zip(layout.positions, slots):
         try:
-            pos = kind.positions(_slot_rows(theta, cols), lines)
+            pos = kind.positions(group_slots, lines)
         except DegenerateGeometryError as err:
             raise DegenerateGeometryError(f"scatterer {np.arange(n)[rows][0]}: {err}") from None
-        pl[at + (rows,)] = _unfold(np.einsum("nkj,kj->nk", pos, lines), theta)
+        if stack is None:
+            pl[rows] = _einsum("nkj,kj->nk", pos, lines)
+        else:
+            pl[:, rows] = _unfold(_einsum("nkj,kj->nk", pos, lines), stack)
     return pl
 
 
@@ -244,21 +271,27 @@ def _forward(model: PointScatteringModel, wf: WaveformKernel, bins: np.ndarray, 
     (B, K, m, P).
 
     One slot vector runs without the stack axis rather than as a one-row
-    stack: folding and unfolding a stack adds a few microseconds a call,
-    5-10% of a forward pass at the single-profile size.
+    stack, indexing theta[cols] directly: folding and unfolding a stack adds
+    a few microseconds a call, 5-10% of a forward pass at the single-profile
+    size.
     """
     layout = model._layout
     if thetas is None:
-        # at indexes the stack axis; slots_first and last are the primitive-result
-        # and Jacobian transposes: (n, K, n_slots) -> (n, n_slots, K), (P, K, m) -> (K, m, P)
-        theta, at, slots_first, last = model._theta, (), (0, 2, 1), (1, 2, 0)
+        # stack is the stack size (None for one slot vector); at indexes the stack
+        # axis; slots_first and last are the primitive-result and Jacobian
+        # transposes: (n, K, n_slots) -> (n, n_slots, K), (P, K, m) -> (K, m, P)
+        theta, stack, at, slots_first, last = model._theta, None, (), (0, 2, 1), (1, 2, 0)
     else:
-        theta, at, slots_first, last = _theta_stack(model, thetas), (slice(None),), (1, 0, 3, 2), (0, 2, 3, 1)
+        theta = _theta_stack(model, thetas)
+        stack, at, slots_first, last = len(theta), (slice(None),), (1, 0, 3, 2), (0, 2, 3, 1)
     lmat = _as_line_stack(lines)
-    pl = _projected_ranges(layout, theta, lmat, at)
+    pos_slots = _group_slots(layout.positions, theta)
+    amp_slots = _group_slots(layout.amplitudes, theta)
+    pl = _projected_ranges(layout, pos_slots, lmat, stack)
     a = np.empty(pl.shape, dtype=complex)
-    for kind, rows, cols, _ in layout.amplitudes:
-        a[at + (rows,)] = _unfold(kind.values(_slot_rows(theta, cols), lmat), theta)
+    for (kind, rows, _, _), slots in zip(layout.amplitudes, amp_slots):
+        values = kind.values(slots, lmat)
+        a[at + (rows,)] = values if stack is None else _unfold(values, stack)
     k4 = 4.0 * np.pi * wf.fc / C_LIGHT
     gamma = np.exp(1j * k4 * pl)
     ag = a * gamma
@@ -266,37 +299,48 @@ def _forward(model: PointScatteringModel, wf: WaveformKernel, bins: np.ndarray, 
     tau *= 2.0
     tau /= C_LIGHT
     if not jacobian:
-        return (ag[..., None] * wf.autocorr(tau)).sum(axis=-3), None
+        return np.add.reduce(ag[..., None] * wf.autocorr(tau), axis=-3), None
     # Products of two complex arrays always go to an output distinct from both
     # operands: numpy may pick another loop (with other rounding) when the
     # output aliases an input.  Scaling by a real, or by a purely imaginary
     # scalar, rounds the same either way, so it is done in place.
     r, dr = wf.autocorr(tau, deriv=True)
     scratch = ag[..., None] * r
-    out = scratch.sum(axis=-3)
+    out = np.add.reduce(scratch, axis=-3)
     # one slot's (K, m) block per row
     by_slot = np.empty(pl.shape[:-2] + (layout.n_params, lmat.shape[0], bins.shape[-1]), dtype=complex)
     # d g / d(amplitude slots) = gamma * R * da/dtheta
     gr = np.multiply(gamma[..., None], r, out=scratch)
-    for kind, _, cols, blocks in layout.amplitudes:
-        grad = _unfold(kind.gradients(_slot_rows(theta, cols), lmat), theta).transpose(slots_first)[..., None]
+    for (kind, _, _, blocks), slots in zip(layout.amplitudes, amp_slots):
+        grad = kind.gradients(slots, lmat)
+        grad = (grad if stack is None else _unfold(grad, stack)).transpose(slots_first)[..., None]
         for (row, span), d in zip(blocks, _per_row(grad, len(blocks))):
             np.multiply(gr[at + (row,)], d, out=by_slot[at + (span,)])
     # d g / d(position slots) = a * gamma * (j*k4*R + 2/c * dR/dtau) * d(p.l)/dtheta
     d_range = np.multiply(1j * k4, r, out=r)  # d(gamma*R)/d(p.l) / gamma
     d_range += np.multiply(2.0 / C_LIGHT, dr, out=dr)
     radial = np.multiply(ag[..., None], d_range, out=scratch)
-    for kind, _, cols, blocks in layout.positions:
-        u = np.einsum("nkij,ki->nkj", kind.jacobians(_slot_rows(theta, cols), lmat), lmat)
-        u = _unfold(u, theta).transpose(slots_first)[..., None]
+    for (kind, _, _, blocks), slots in zip(layout.positions, pos_slots):
+        u = _einsum("nkij,ki->nkj", kind.jacobians(slots, lmat), lmat)
+        u = (u if stack is None else _unfold(u, stack)).transpose(slots_first)[..., None]
         for (row, span), d in zip(blocks, _per_row(u, len(blocks))):
             np.multiply(radial[at + (row,)], d, out=by_slot[at + (span,)])
     return out, by_slot.transpose(last)
 
 
+class _GridStack(tuple):
+    """K range grids of m bins each, with their (K, m) bins stacked once and read-only."""
+
+    def __new__(cls, grids):
+        self = super().__new__(cls, grids)
+        self.bins = np.array([g.bins for g in self])
+        self.bins.setflags(write=False)
+        return self
+
+
 def _grid_bins(grid: RangeGrid | Sequence[RangeGrid]) -> np.ndarray:
     """(m,) bins of one RangeGrid, or (K, m) bins of a sequence of K grids of m bins each."""
-    if isinstance(grid, RangeGrid):
+    if isinstance(grid, (RangeGrid, _GridStack)):
         return grid.bins
     return np.array([g.bins for g in grid])
 

@@ -153,8 +153,21 @@ class FixedCylindrical(PositionModel):
         _check_radius(self.r_s, "ring")
 
 
+# The last read-only line stack _ring_direction saw, and its result.  A fit
+# evaluates one such stack many times; holding it keeps its identity unique.
+_ring_memo: tuple = (None, None)
+
+
 def _ring_direction(lines: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unit xy direction (cos, sin) of each sight line's azimuth, (K,) each."""
+    """Unit xy direction (cos, sin) of each sight line's azimuth, (K,) each.
+
+    The result for a read-only stack that owns its data is kept for the next
+    call on that same stack; a writeable stack, or a view, is never kept.
+    """
+    global _ring_memo
+    held, direction = _ring_memo
+    if lines is held and not lines.flags.writeable:
+        return direction
     lx, ly = lines[:, 0], lines[:, 1]
     h = np.hypot(lx, ly)
     bad = np.flatnonzero(h < _MIN_XY)
@@ -162,7 +175,12 @@ def _ring_direction(lines: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise DegenerateGeometryError(
             f"aspect {bad[0]}: slipping ring azimuth is undefined for a sight line along the ring axis"
         )
-    return lx / h, ly / h
+    direction = lx / h, ly / h
+    if lines.base is None and not lines.flags.writeable:
+        for part in direction:
+            part.setflags(write=False)
+        _ring_memo = (lines, direction)
+    return direction
 
 
 @dataclass(frozen=True)

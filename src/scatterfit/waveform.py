@@ -5,7 +5,10 @@ pulse autocorrelation, so synthesis and differentiation only ever need the
 kernel R(tau) and its lag derivative dR/dtau; ``autocorr(tau, deriv=True)``
 returns both from one pass over the lags.  The chirp kernel fills its phase
 factor exp(j*nu) in as cos(nu) + j*sin(nu), scales it in place, and runs the
-small-lag series only on calls that have a lag below the switch point.
+small-lag series only on calls that have a lag below the switch point.  Its
+scalar factors (pi*T*alpha, pi*alpha, pi*(2*f0 + T*alpha), A^2*T) are formed
+once, when the waveform is built, as the same left-to-right products; each
+call does only the work on its lags.
 """
 
 from __future__ import annotations
@@ -68,11 +71,20 @@ class LfmWaveform(WaveformKernel):
             raise ValueError("chirp rate must be nonzero")
         if self.fc <= 0.0:
             raise ValueError(f"carrier frequency must be > 0, got {self.fc}")
+        # the kernel's scalar factors, each the same left-to-right product autocorr would form
+        big_t, alpha = self.duration, self.chirp_rate
+        for name, value in (
+            ("_pi_t_alpha", np.pi * big_t * alpha),  # x / tau
+            ("_pi_alpha", np.pi * alpha),  # (pi*alpha*tau^2) / tau^2
+            ("_nu_rate", np.pi * (2.0 * self.f0 + big_t * alpha)),  # the linear part of nu / tau
+            ("_peak", self.amplitude**2 * big_t),  # A^2 T
+        ):
+            object.__setattr__(self, name, value)
 
     @property
     def peak(self) -> float:
         """R(0) = A^2 T."""
-        return self.amplitude**2 * self.duration
+        return self._peak
 
     def autocorr(self, tau, deriv: bool = False):
         """R(tau) = A^2 * T * [sin(x)/x] * exp(j*nu), x = pi*T*alpha*tau.
@@ -84,17 +96,21 @@ class LfmWaveform(WaveformKernel):
 
         exp(j*nu) is filled in as cos(nu) + j*sin(nu) and scaled in place;
         every value is that of the plain complex expressions.  The series
-        runs only when some lag is below the switch point.
+        runs only when some lag is below the switch point.  The scalar
+        factors pi*T*alpha, pi*alpha, pi*(2*f0 + T*alpha) and A^2*T are
+        formed once per waveform.
         """
-        shape = np.shape(tau)
-        t = np.asarray(tau, dtype=float).reshape(-1)  # 1-D, so the series can fill in by mask
+        scalar = not isinstance(tau, np.ndarray) and np.isscalar(tau)
+        t = np.asarray(tau, dtype=float)
+        shape = t.shape
+        t = t.reshape(-1)  # 1-D, so the series can fill in by mask
         a2 = self.amplitude**2
         big_t = self.duration
         alpha = self.chirp_rate
-        x = np.pi * big_t * alpha * t
-        t2 = np.pi * alpha * t
+        x = self._pi_t_alpha * t
+        t2 = self._pi_alpha * t
         t2 *= t  # pi*alpha*tau^2, in nu and (guarded) in the derivative's denominator
-        nu = np.pi * (2.0 * self.f0 + big_t * alpha) * t
+        nu = self._nu_rate * t
         nu -= t2
         sin_x = np.sin(x)
         small = np.abs(x) < _SMALL_ARG
@@ -102,7 +118,7 @@ class LfmWaveform(WaveformKernel):
         if some_small:  # divide by 1 where the series takes over, so no 0/0 is formed
             xs = x[small]
             safe_x, safe_t = np.where(small, 1.0, x), np.where(small, 1.0, t)
-            t2 = np.pi * alpha * safe_t
+            t2 = self._pi_alpha * safe_t
             t2 *= safe_t
         else:
             safe_x, safe_t = x, t
@@ -114,10 +130,10 @@ class LfmWaveform(WaveformKernel):
         phase = np.empty(t.shape, dtype=complex)  # exp(j*nu)
         np.cos(nu, out=phase.real)
         np.sin(nu, out=phase.imag)
-        scale = a2 * big_t * ratio
+        scale = self._peak * ratio
         if not deriv:
             r = np.multiply(scale, phase, out=phase).reshape(shape)
-            return complex(r) if np.isscalar(tau) else r
+            return complex(r) if scalar else r
         r = (scale * phase).reshape(shape)
 
         # d/dtau of sin(x)/(pi*alpha*tau): exact T*cos(x)/tau - sin(x)/(pi*alpha*tau^2),
@@ -131,7 +147,7 @@ class LfmWaveform(WaveformKernel):
         d_ratio *= a2
         # the phase rate dnu * A^2 * T * sin(x)/x, real factors first
         rate = 2.0 * np.pi * alpha * t
-        np.subtract(np.pi * (2.0 * self.f0 + big_t * alpha), rate, out=rate)
+        np.subtract(self._nu_rate, rate, out=rate)
         rate *= a2
         rate *= big_t
         rate *= ratio
@@ -141,7 +157,7 @@ class LfmWaveform(WaveformKernel):
         turn *= 1j
         dr += turn
         dr = dr.reshape(shape)
-        if np.isscalar(tau):
+        if scalar:
             return complex(r), complex(dr)
         return r, dr
 

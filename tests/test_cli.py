@@ -514,6 +514,11 @@ def test_fit_sequential(tmp_path):
     assert len(report["phase_statuses"]) == 2
     assert set(report["phase_statuses"]) <= {"converged", "max_iters", "stalled"}
     assert report["phase_statuses"][-1] == report["status"]
+    # the rule that ended each phase, in the same order; both convergence rules read "converged"
+    reasons = report["phase_stop_reasons"]
+    assert len(reasons) == 2 and set(reasons) <= {"grad_norm", "loss_window", "max_iters", "stalled"}
+    for reason, status in zip(reasons, report["phase_statuses"]):
+        assert status == ("converged" if reason in ("grad_norm", "loss_window") else reason)
     assert set(report["slots"]) == {"s0.s_re", "s0.s_im", "s0.rho_s"}
     assert report["phase_boundary"] is not None
     assert isinstance(report["mean_residual_power_dbw"], float)
@@ -545,6 +550,7 @@ def test_fit_coherent_only_phase_column(tmp_path):
     report = json.loads((out / "fit_report.json").read_text())
     assert report["phase_boundary"] is None
     assert report["phase_statuses"] == [report["status"]]
+    assert len(report["phase_stop_reasons"]) == 1
     assert report["phase_loss_evals"] == [report["loss_evals"]]
     _, rows = read_rows(out / "loss_trace.csv")
     assert all(r[2] == "coherent" for r in rows)

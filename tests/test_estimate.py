@@ -6,15 +6,19 @@ import pytest
 from scatterfit import (
     C_LIGHT,
     CrlbResult,
+    DegenerateGeometryError,
     DescentConfig,
     FixedAmplitude,
+    LfmWaveform,
     LineSearchConfig,
     PointScatteringModel,
     RangeGrid,
     Scatterer,
+    SightLine,
     Spherical,
     WeightMatrix,
     batch_gradient,
+    batch_loss,
     crlb,
     fisher_info,
     gradient_descent,
@@ -252,6 +256,92 @@ def test_fit_report_counts_evaluations(noisy_reference_fit, monkeypatch):
     assert report.grad_evals == report.iterations + 2
 
 
+def test_fits_evaluate_through_the_traced_call_chain(noisy_reference_fit, monkeypatch):
+    # gradient_descent -> batch_loss / batch_gradient -> synthesize_profiles /
+    # profile_jacobians -> LfmWaveform.autocorr, through the module attributes
+    # a tracer patches: every fit evaluation is a call it can count and link
+    import scatterfit.estimate as estimate
+    import scatterfit.loss as loss
+    import scatterfit.model as model
+
+    wf, obs, w = noisy_reference_fit
+    calls = {"batch_loss": 0, "batch_gradient": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(estimate, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(estimate, name, counted)
+    passes = []  # the forward functions open on the stack
+    for module in (estimate, loss, model):
+        for name in ("synthesize_profiles", "profile_jacobians"):
+            def opened(*args, _fn=getattr(module, name), _name=name, **kwargs):
+                passes.append(_name)
+                try:
+                    return _fn(*args, **kwargs)
+                finally:
+                    passes.pop()
+
+            monkeypatch.setattr(module, name, opened)
+    callers = []
+    kernel = LfmWaveform.autocorr
+
+    def autocorr(self, *args, **kwargs):
+        callers.append(passes[-1] if passes else None)
+        return kernel(self, *args, **kwargs)
+
+    monkeypatch.setattr(LfmWaveform, "autocorr", autocorr)
+    report = sequential_fit([obs], reference_guess(), wf, w, DescentConfig(max_iters=3))
+    assert (calls["batch_loss"], calls["batch_gradient"]) == (report.loss_evals, report.grad_evals)
+    assert report.loss_evals > report.grad_evals > 0
+    assert set(callers) == {"synthesize_profiles", "profile_jacobians"}
+    # one kernel call per evaluation, plus the residual at each phase's end
+    assert len(callers) == report.loss_evals + report.grad_evals + 2
+
+
+def test_a_fit_plan_serves_its_own_sight_lines_only(wf_unit, grid_mid, monkeypatch):
+    # the ring direction kept for one fit's sight lines is never reused by a
+    # fit on other sight lines of the same count: that fit matches, bit for
+    # bit, the same fit run with nothing kept
+    import scatterfit.scatterer as scatterer
+
+    truth, guess, cfg = reference_truth(), reference_guess(), DescentConfig(max_iters=3)
+    line_sets = [[sightline_from_angles(az, el) for az, el in pair] for pair in
+                 (((0.0, 0.5), (1.6, 0.2)), ((3.1, -0.3), (4.7, 0.1)))]
+    patterns = [synthesize_pattern(truth, wf_unit, grid_mid, lines, NoiseSpec(0.01, seed=1)) for lines in line_sets]
+    first, second = (sequential_fit(p, guess, wf_unit, cfg=cfg) for p in patterns)
+    kept = scatterer._ring_memo[0]
+    assert kept is not None and np.array_equal(kept, [l.vec for l in line_sets[1]])
+    monkeypatch.setattr(scatterer, "_ring_memo", (None, None))
+    alone = sequential_fit(patterns[1], guess, wf_unit, cfg=cfg)
+    assert alone.theta.tobytes() == second.theta.tobytes()
+    assert alone.loss_trace == second.loss_trace
+    assert first.theta.tobytes() != second.theta.tobytes()
+
+
+def test_a_ring_seen_along_its_axis_fails_every_fit_path(grid_mid, noisy_reference_fit):
+    # scatterer 2 of the reference guess is a slipping ring; aspect 1 looks
+    # down the ring axis. Neither a plan built for the fit nor the terms kept
+    # for an earlier fit's sight lines hide the error
+    import scatterfit.estimate as estimate
+
+    wf, obs, w = noisy_reference_fit
+    sequential_fit([obs], reference_guess(), wf, w, DescentConfig(max_iters=1))
+    lines = [sightline_from_angles(0.3, 0.2), SightLine(np.array([0.0, 0.0, 1.0]))]
+    bad = [Observation(np.zeros(grid_mid.m, dtype=complex), line, grid_mid) for line in lines]
+    plan = estimate._plan(bad)
+    message = "^scatterer 2: aspect 1: slipping ring azimuth is undefined"
+    for data in (bad, plan, plan):
+        for evaluate in (batch_loss, batch_gradient):
+            with pytest.raises(DegenerateGeometryError, match=message):
+                evaluate(data, reference_guess(), wf, w, "coherent")
+    for data in (bad, plan):
+        with pytest.raises(DegenerateGeometryError, match=message):
+            gradient_descent(data, reference_guess(), wf, "noncoherent", w)
+        with pytest.raises(DegenerateGeometryError, match=message):
+            sequential_fit(data, reference_guess(), wf, w)
+
+
 def test_line_search_seed_rule(noisy_reference_fit, monkeypatch):
     # the noncoherent phase and the first two coherent searches are seeded at
     # 0.1 * loss / |grad|^2; each later coherent search at the step accepted
@@ -326,23 +416,55 @@ def test_noncoherent_descent_keeps_the_paper_seed(noisy_reference_fit, monkeypat
     assert report.phase_loss_evals == (49,)
 
 
-def test_coherent_warm_start_cuts_evaluations():
-    # scenario 7's shape (one sphere, m = 11, one aspect) from the benchmark's
-    # far start, descended to its tolerances. Loss evaluations per iteration
-    # read about 23.5 on the benchmark's draws (22.0 on this one) with every
-    # search seeded at 0.1 * loss / |grad|^2, and about 9.9 (9.6 here) with
-    # the coherent warm start; the bound sits halfway between 23.5 and 9.9
+def monte_carlo_shape(seed: int = 0):
+    """Scenario 7's shape (one sphere, m = 11, one aspect, sigma2 = 1e-4) and
+    the benchmark's far start: waveform, observations, start model, weights."""
     wf = lfm_from_band(200e6, 150e6, 1e-6, 1000.0)
     grid = RangeGrid(-1.0, C_LIGHT / (4.0 * 200e6), 11)
     line = sightline_from_angles(0.3, 0.2)
     truth = PointScatteringModel((Scatterer(FixedAmplitude(1.0, 0.0), Spherical(1.0)),))
     sigma2 = 1e-4
-    obs = synthesize_pattern(truth, wf, grid, [line], NoiseSpec(sigma2, seed=0)).observations
+    obs = synthesize_pattern(truth, wf, grid, [line], NoiseSpec(sigma2, seed=seed)).observations
     init = truth.unpack(np.array([1.2, -0.2, 1.1]))
-    cfg = DescentConfig(max_iters=3000, loss_rel_tol=1e-12, grad_norm_tol=1e-8)
-    report = gradient_descent(obs, init, wf, "coherent", WeightMatrix.from_sigma2(sigma2), cfg)
+    return wf, obs, init, WeightMatrix.from_sigma2(sigma2)
+
+
+MONTE_CARLO_DESCENT = DescentConfig(max_iters=3000, loss_rel_tol=1e-12, grad_norm_tol=1e-8)
+
+
+def test_coherent_warm_start_cuts_evaluations():
+    # scenario 7's shape from the benchmark's far start, descended to its
+    # tolerances. Loss evaluations per iteration read about 23.5 on the
+    # benchmark's draws (22.0 on this one) with every search seeded at
+    # 0.1 * loss / |grad|^2, and about 9.9 (9.6 here) with the coherent warm
+    # start; the bound sits halfway between 23.5 and 9.9
+    wf, obs, init, w = monte_carlo_shape()
+    report = gradient_descent(obs, init, wf, "coherent", w, MONTE_CARLO_DESCENT)
     assert report.status == "converged"
     assert report.loss_evals / report.iterations < (23.5 + 9.9) / 2.0
+
+
+def test_each_phase_names_the_rule_that_ended_it():
+    # the monte-carlo shape ends on the relative gradient norm at the
+    # benchmark's tolerances and on the 3-step loss window at the defaults
+    wf, obs, init, w = monte_carlo_shape()
+    for cfg, reason in ((MONTE_CARLO_DESCENT, "grad_norm"), (DescentConfig(max_iters=3000), "loss_window")):
+        report = gradient_descent(obs, init, wf, "coherent", w, cfg)
+        assert report.phase_stop_reasons == (reason,)
+        assert report.status == "converged" and 0 < report.iterations < cfg.max_iters
+    # a budget that runs out, and a search allowed one shrink, which soon finds no decrease
+    short = gradient_descent(obs, init, wf, "coherent", w, DescentConfig(max_iters=3))
+    assert (short.status, short.phase_stop_reasons) == ("max_iters", ("max_iters",))
+    cramped = DescentConfig(line_search=LineSearchConfig(max_bracket_steps=1))
+    stuck = gradient_descent(obs, init, wf, "coherent", w, cramped)
+    assert (stuck.status, stuck.phase_stop_reasons) == ("stalled", ("stalled",))
+    # a fit that starts at the truth of noise-free data has a zero gradient:
+    # each phase stops on the gradient norm before its first step
+    wf, grid, line, truth = one_sphere_scenario()
+    clean = [Observation(synthesize_profiles(truth, wf, grid, line)[0], line, grid)]
+    report = sequential_fit(clean, truth, wf)
+    assert report.phase_stop_reasons == ("grad_norm", "grad_norm")
+    assert report.phase_statuses == ("converged", "converged") and report.iterations == 0
 
 
 def test_sequential_beats_coherent_only(noisy_reference_fit):

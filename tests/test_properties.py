@@ -4,14 +4,17 @@ import dataclasses
 import json
 import re
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import scatterfit
+import scatterfit.estimate as estimate
 from scatterfit import (
     C_LIGHT,
+    DescentConfig,
     FixedAmplitude,
     FixedCylindrical,
     LfmWaveform,
@@ -28,6 +31,7 @@ from scatterfit import (
     coherent_loss,
     coherent_loss_gradient,
     crlb,
+    gradient_descent,
     line_search,
     noncoherent_clamp,
     noncoherent_loss,
@@ -214,6 +218,62 @@ def test_compiled_pass_equals_single_scatterer_models(wf_unit, model, lines, gri
     same = model.unpack(model.pack())
     assert np.array_equal(synthesize_profiles(same, wf_unit, grid, lines), g)
     assert all(a == b for a, b in zip(same.scatterers, model.scatterers, strict=True))
+
+
+@st.composite
+def ring_problems(draw):
+    """A model of 1-6 scatterers, one of them a slipping ring, 1-4 sight lines
+    with one shared grid or one grid each, weights, and a seed."""
+    others = draw(st.lists(scatterers(), min_size=0, max_size=5))
+    ring = Scatterer(FixedAmplitude(draw(_real(0.3, 2.0)), draw(_real(-1.0, 1.0))),
+                     SlippingRing(draw(_real(0.0, 1.5)), draw(_real(-2.0, 2.0))))
+    at = draw(st.integers(0, len(others)))
+    model = PointScatteringModel(tuple(others[:at] + [ring] + others[at:]))
+    lines, m = draw(st.lists(sightlines, min_size=1, max_size=4)), draw(bin_counts)
+    shared = draw(grids(m))
+    grid_of = [shared] * len(lines) if draw(st.booleans()) else [draw(grids(m)) for _ in lines]
+    return model, lines, grid_of, draw(weights(m)), draw(st.integers(0, 2**32 - 1))
+
+
+@PROPERTY
+@given(ring_problems(), st.sampled_from(("coherent", "noncoherent")))
+def test_a_fit_plan_serves_bit_identical_losses_and_gradients(wf_unit, problem, kind):
+    # every loss and gradient a fit evaluates through its plan (stacked once,
+    # with |z|, the bins and the ring direction kept) is bit for bit the call
+    # on a freshly listed set of observations
+    model, lines, grid_of, w, seed = problem
+    rng = np.random.default_rng(seed)
+    obs = [Observation(_noisy(rng, synthesize_profiles(model, wf_unit, grid, line)[0]), line, grid)
+           for line, grid in zip(lines, grid_of)]
+    start = model.unpack(model.pack() + rng.normal(scale=0.02, size=model.n_params))
+    served = []
+
+    def recorder(fn):
+        def recorded(data, model, *args):
+            value = fn(data, model, *args)
+            served.append((fn, data, model, value))
+            return value
+        return recorded
+
+    with mock.patch.object(estimate, "batch_loss", recorder(batch_loss)), \
+            mock.patch.object(estimate, "batch_gradient", recorder(batch_gradient)):
+        gradient_descent(obs, start, wf_unit, kind, w, DescentConfig(max_iters=2))
+    assert {fn for fn, *_ in served} == {batch_loss, batch_gradient}
+    plan = served[0][1]
+    assert all(data is plan for _, data, _, _ in served)
+    # and the loss functions on the plain stacked arrays, which build no plan
+    z, grid = np.stack([o.z for o in obs]), [o.grid for o in obs]
+    loss = {"coherent": coherent_loss, "noncoherent": noncoherent_loss}[kind]
+    for fn, _, model, value in served:
+        fresh = fn(list(obs), model, wf_unit, w, kind)
+        assert np.asarray(fresh).tobytes() == np.asarray(value).tobytes()
+        if fn is batch_loss:
+            plain = loss(z, synthesize_profiles(model, wf_unit, grid, lines), w)
+        else:
+            g, jac = profile_jacobians(model, wf_unit, grid, lines)
+            plain = (coherent_loss_gradient(z, g, jac, w) if kind == "coherent"
+                     else noncoherent_loss_gradient(z, g, jac, w, noncoherent_clamp(wf_unit)))
+        assert np.asarray(plain).tobytes() == np.asarray(value).tobytes()
 
 
 @st.composite

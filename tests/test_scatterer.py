@@ -126,6 +126,34 @@ def test_slipping_degenerate_sightline():
         s.position(SightLine(np.array([0.0, 0.0, -1.0])))
 
 
+def test_ring_direction_is_kept_only_for_a_frozen_stack(monkeypatch):
+    # the direction is kept only for a read-only stack that owns its data, as
+    # a fit's plan holds; a line rewritten through any other array is seen on
+    # the next call, and a stack made writeable again is recomputed
+    import scatterfit.scatterer as scatterer
+
+    monkeypatch.setattr(scatterer, "_ring_memo", (None, None))
+    slots = np.array([SlippingRing(1.5, 0.4).params])
+    base = np.array([[1.0, 0.0, 0.0], [0.0, 0.6, 0.8]])
+    view = base[:]
+    view.setflags(write=False)
+    for lines in (base, view):
+        before = SlippingRing.positions(slots, lines)
+        base[:] = base[::-1].copy()
+        after = SlippingRing.positions(slots, lines)
+        assert np.array_equal(after, SlippingRing.positions(slots, lines.copy()))
+        assert not np.array_equal(after, before)
+        assert scatterer._ring_memo == (None, None)
+    frozen = base.copy()
+    frozen.setflags(write=False)
+    kept = SlippingRing.jacobians(slots, frozen)
+    assert scatterer._ring_memo[0] is frozen
+    assert np.array_equal(SlippingRing.jacobians(slots, frozen), kept)
+    frozen.setflags(write=True)
+    frozen[:] = frozen[::-1].copy()
+    assert np.array_equal(SlippingRing.jacobians(slots, frozen), SlippingRing.jacobians(slots, frozen.copy()))
+
+
 def test_spherical_constant_range(rng):
     rho = 1.7
     s = Scatterer(FixedAmplitude(1.0, 0.0), Spherical(rho))
