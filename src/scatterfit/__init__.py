@@ -7,7 +7,7 @@ from .geometry import (
     SightLine,
     sightline_from_angles,
 )
-from .waveform import LfmWaveform, WaveformKernel, lfm_from_band
+from .waveform import LfmWaveform, lfm_from_band
 from .scatterer import (
     AmplitudeModel,
     FixedAmplitude,
@@ -38,7 +38,6 @@ from .estimate import (
     CrlbResult,
     DescentConfig,
     FitReport,
-    LineSearchConfig,
     crlb,
     crlb_from_fisher,
     fisher_info,
@@ -60,7 +59,6 @@ __all__ = [
     "FixedAmplitude",
     "FixedCylindrical",
     "LfmWaveform",
-    "LineSearchConfig",
     "NoiseSpec",
     "Observation",
     "PointScatteringModel",
@@ -72,7 +70,6 @@ __all__ = [
     "SlippingRing",
     "Spherical",
     "StaticPattern",
-    "WaveformKernel",
     "WeightMatrix",
     "batch_gradient",
     "batch_loss",

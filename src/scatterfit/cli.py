@@ -26,7 +26,6 @@ from .estimate import (
     CrlbResult,
     DescentConfig,
     FitReport,
-    LineSearchConfig,
     crlb,
     gradient_descent,
     sequential_fit,
@@ -238,14 +237,9 @@ _CONFIG = {
         ),
         "initial_model": (_model, _REQUIRED),
         "descent": ({
-            "max_iters": (_COUNT, DescentConfig.max_iters),
+            "max_iters": (partial(_as_int, minimum=0), DescentConfig.max_iters),
             "loss_rel_tol": (_NON_NEGATIVE, DescentConfig.loss_rel_tol),
             "grad_norm_tol": (_NON_NEGATIVE, DescentConfig.grad_norm_tol),
-            "line_search": ({
-                "bracket_growth": (partial(_as_float, minimum=1.0, exclusive=True), LineSearchConfig.bracket_growth),
-                "max_bracket_steps": (_COUNT, LineSearchConfig.max_bracket_steps),
-                "section_tol": (_POSITIVE, LineSearchConfig.section_tol),
-            }, {}),
         }, {}),
     }, _OMIT),
 }
@@ -295,7 +289,7 @@ def build_sightlines(cfg) -> list[SightLine]:
 
 
 def build_descent(block) -> DescentConfig:
-    return DescentConfig(**{**block, "line_search": LineSearchConfig(**block["line_search"])})
+    return DescentConfig(**block)
 
 
 def build_weight(cfg) -> WeightMatrix:

@@ -2,7 +2,7 @@
 
 The descent is deliberately plain: step along the negative gradient with an
 exact line search (bracket, then Brent's method, until the bracket is no
-wider than section_tol times the step).  The workhorse strategy is
+wider than 1e-4 times the step).  The workhorse strategy is
 sequential: minimize the noncoherent loss first to land inside the coherent
 capture zone, then refine on the coherent loss.
 
@@ -15,17 +15,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from numbers import Integral
 
 import numpy as np
 
 from .loss import WeightMatrix, _as_batch, _Batch, batch_gradient, batch_loss
 from .model import PointScatteringModel, RangeGrid, profile_jacobians, synthesize_profiles
-from .waveform import WaveformKernel
+from .waveform import LfmWaveform
 
 _CGOLD = (3.0 - math.sqrt(5.0)) / 2.0  # golden-section fraction of the larger side
 _TOL_FLOOR = 8.0 * float(np.finfo(float).eps)  # narrowest relative bracket floats resolve
 _COND_LIMIT = 1e12
+# line search: bracket growth (and shrink) factor, bracket steps allowed each
+# way, and the bracket width, relative to the step, at which Brent stops
+_BRACKET_GROWTH = 2.0
+_MAX_BRACKET_STEPS = 40
+_SECTION_TOL = 1e-4
 
 
 def _is_count(v) -> bool:
@@ -33,29 +39,13 @@ def _is_count(v) -> bool:
     return isinstance(v, Integral) and not isinstance(v, bool)
 
 
-# Each check is written so that nan fails it: every comparison with nan is false.
-@dataclass(frozen=True)
-class LineSearchConfig:
-    bracket_growth: float = 2.0
-    max_bracket_steps: int = 40
-    section_tol: float = 1e-4
-
-    def __post_init__(self):
-        if not (1.0 < self.bracket_growth < math.inf):
-            raise ValueError(f"bracket growth must be finite and > 1, got {self.bracket_growth}")
-        if not (_is_count(self.max_bracket_steps) and self.max_bracket_steps >= 1):
-            raise ValueError(f"need an integer number of bracket steps >= 1, got {self.max_bracket_steps!r}")
-        if not (0.0 < self.section_tol < math.inf):
-            raise ValueError(f"section tolerance must be finite and > 0, got {self.section_tol}")
-
-
 @dataclass(frozen=True)
 class DescentConfig:
     max_iters: int = 500
     loss_rel_tol: float = 1e-8
     grad_norm_tol: float = 1e-9
-    line_search: LineSearchConfig = field(default_factory=LineSearchConfig)
 
+    # each check is written so that nan fails it: every comparison with nan is false
     def __post_init__(self):
         if not (_is_count(self.max_iters) and self.max_iters >= 0):
             raise ValueError(f"max_iters must be an integer >= 0, got {self.max_iters!r}")
@@ -68,14 +58,17 @@ class DescentConfig:
 
 @dataclass(frozen=True)
 class FitReport:
-    """Outcome of one descent run (or a sequential pair of runs)."""
+    """Outcome of one descent run (or a sequential pair of runs).
+
+    The residual is formed from the fit's plan when first read; a sequential
+    fit never reads its noncoherent phase's.
+    """
 
     model: PointScatteringModel
     theta: np.ndarray
     status: str  # "converged" | "max_iters" | "stalled"; the last phase's for a sequential fit
     loss_trace: tuple[tuple[int, float], ...]
     grad_norm_trace: tuple[float, ...]
-    residual: np.ndarray  # (aspects, bins) complex z - g at the fitted model
     iterations: int
     loss_evals: int  # batch_loss calls, line searches included
     grad_evals: int  # batch_gradient calls
@@ -85,6 +78,13 @@ class FitReport:
     # (both "converged"), "max_iters" or "stalled"
     phase_stop_reasons: tuple[str, ...]
     phase_boundary: int | None = None  # trace index where the coherent phase starts
+    _plan: _Batch | None = field(default=None, repr=False, compare=False)
+    _wf: LfmWaveform | None = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def residual(self) -> np.ndarray:
+        """(aspects, bins) complex z - g at the fitted model."""
+        return self._plan.z - synthesize_profiles(self.model, self._wf, self._plan.grid, self._plan.lines)
 
     @property
     def final_loss(self) -> float:
@@ -158,15 +158,13 @@ def _brent(f, lo: float, x: float, hi: float, fx: float, tol: float) -> tuple[fl
                 v, fv = u, fu
 
 
-def line_search(
-    f, f0: float, initial_step: float = 1.0, cfg: LineSearchConfig = LineSearchConfig()
-) -> tuple[float, float, bool]:
+def line_search(f, f0: float, initial_step: float = 1.0) -> tuple[float, float, bool]:
     """Exact 1-D minimization of a loss f(step) along a ray, given f0 = f(0).
 
     Brackets a minimum by geometric growth from the initial step, shrinking
     first if the initial step does not decrease f (the last step rejected
     then closes the bracket, so no step is evaluated twice); then Brent's method
-    narrows the bracket until it is no wider than section_tol * step.  f is
+    narrows the bracket until it is no wider than 1e-4 * step.  f is
     never evaluated at 0 or at a negative step.  Returns (step, f(step),
     stalled); stalled means no decrease was found, the step is 0 and the loss
     is f0.
@@ -178,23 +176,23 @@ def line_search(
     hi = f_hi = None
     while fs >= f0:
         hi, f_hi = step, fs  # the step just rejected closes the bracket from above
-        step /= cfg.bracket_growth
+        step /= _BRACKET_GROWTH
         shrinks += 1
-        if shrinks > cfg.max_bracket_steps:
+        if shrinks > _MAX_BRACKET_STEPS:
             return 0.0, f0, True
         fs = _finite(f(step))
     # grow until the loss turns back up (or the growth budget runs out)
     lo, mid, f_mid = 0.0, step, fs
     if hi is None:
-        hi = mid * cfg.bracket_growth
+        hi = mid * _BRACKET_GROWTH
         f_hi = _finite(f(hi))
     grows = 0
-    while f_hi < f_mid and grows < cfg.max_bracket_steps:
+    while f_hi < f_mid and grows < _MAX_BRACKET_STEPS:
         lo, mid, f_mid = mid, hi, f_hi
-        hi *= cfg.bracket_growth
+        hi *= _BRACKET_GROWTH
         f_hi = _finite(f(hi))
         grows += 1
-    return _brent(f, lo, mid, hi, f_mid, cfg.section_tol) + (False,)
+    return _brent(f, lo, mid, hi, f_mid, _SECTION_TOL) + (False,)
 
 
 def _plan(data) -> _Batch:
@@ -204,14 +202,10 @@ def _plan(data) -> _Batch:
     return _as_batch(list(data.observations) if hasattr(data, "observations") else list(data))
 
 
-def _residual(batch: _Batch, model: PointScatteringModel, wf: WaveformKernel) -> np.ndarray:
-    return batch.z - synthesize_profiles(model, wf, batch.grid, batch.lines)
-
-
 def gradient_descent(
     data,
     model0: PointScatteringModel,
-    wf: WaveformKernel,
+    wf: LfmWaveform,
     kind: str = "coherent",
     w: WeightMatrix | None = None,
     cfg: DescentConfig = DescentConfig(),
@@ -262,9 +256,7 @@ def gradient_descent(
             seed = steps[-2]
         else:
             seed = 0.1 * current / gnorm**2
-        eta, stepped_loss, stalled = line_search(
-            lambda s: loss_at(theta - s * grad), current, seed, cfg.line_search
-        )
+        eta, stepped_loss, stalled = line_search(lambda s: loss_at(theta - s * grad), current, seed)
         if stalled:
             reason = "stalled"
             break
@@ -282,27 +274,27 @@ def gradient_descent(
                 reason = "loss_window"
                 break
     status = "converged" if reason in ("grad_norm", "loss_window") else reason
-    fitted = model0.unpack(theta)
     return FitReport(
-        model=fitted,
+        model=model0.unpack(theta),
         theta=theta,
         status=status,
         loss_trace=tuple(enumerate(losses)),
         grad_norm_trace=tuple(gnorms),
-        residual=_residual(obs, fitted, wf),
         iterations=iterations,
         loss_evals=loss_evals,
         grad_evals=grad_evals,
         phase_statuses=(status,),
         phase_loss_evals=(loss_evals,),
         phase_stop_reasons=(reason,),
+        _plan=obs,
+        _wf=wf,
     )
 
 
 def sequential_fit(
     data,
     model0: PointScatteringModel,
-    wf: WaveformKernel,
+    wf: LfmWaveform,
     w: WeightMatrix | None = None,
     cfg: DescentConfig = DescentConfig(),
     *,
@@ -328,7 +320,6 @@ def sequential_fit(
         status=fine.status,
         loss_trace=tuple(enumerate(merged)),
         grad_norm_trace=rough.grad_norm_trace + fine.grad_norm_trace,
-        residual=fine.residual,
         iterations=rough.iterations + fine.iterations,
         loss_evals=rough.loss_evals + fine.loss_evals,
         grad_evals=rough.grad_evals + fine.grad_evals,
@@ -336,6 +327,8 @@ def sequential_fit(
         phase_loss_evals=rough.phase_loss_evals + fine.phase_loss_evals,
         phase_stop_reasons=rough.phase_stop_reasons + fine.phase_stop_reasons,
         phase_boundary=len(rough.loss_trace),
+        _plan=plan,
+        _wf=wf,
     )
 
 
@@ -385,7 +378,7 @@ def crlb_from_fisher(fisher) -> CrlbResult:
 
 def crlb(
     model: PointScatteringModel,
-    wf: WaveformKernel,
+    wf: LfmWaveform,
     grid: RangeGrid,
     lines,
     sigma2: float,

@@ -20,10 +20,10 @@ from a stack of B slot vectors, against one observed (K, m) or (m,), give
 (B,) losses and (B, P) gradients, and each loss is bit-identical to the
 call on its row.
 
-batch_loss and batch_gradient take a list of observations or a fit's
-evaluation plan, the stack a fit builds from them once: the samples z and
-their moduli |z|, the read-only (K, 3) sight-line stack and the bins.  A
-call on the plan rebuilds none of these, and a position primitive's
+batch_loss and batch_gradient take a list of observations that share one
+range grid, or a fit's evaluation plan, the stack a fit builds from them
+once: the samples z and their moduli |z|, the read-only (K, 3) sight-line
+stack and the grid.  A call on the plan rebuilds none of these, and a position primitive's
 sight-line-only terms are kept for the plan's line stack; the geometry,
 lags, kernel and loss that depend on theta run per call, and give the same
 bits as a call on the listed observations.
@@ -36,8 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import SightLine
-from .model import PointScatteringModel, RangeGrid, _GridStack, profile_jacobians, synthesize_profiles
-from .waveform import WaveformKernel
+from .model import PointScatteringModel, RangeGrid, profile_jacobians, synthesize_profiles
+from .waveform import LfmWaveform
 
 
 class WeightMatrix:
@@ -163,7 +163,7 @@ def _noncoherent_gradient(abs_z: np.ndarray, g: np.ndarray, jac: np.ndarray, w: 
     return _gradient(jac, np.conj(g) * per_mag)
 
 
-def noncoherent_clamp(wf: WaveformKernel) -> float:
+def noncoherent_clamp(wf: LfmWaveform) -> float:
     """Modulus floor below which the noncoherent subgradient is zeroed."""
     return 1e-12 * wf.peak
 
@@ -173,19 +173,18 @@ class _Batch:
     """A fit's evaluation plan: its observations stacked and checked once.
 
     It holds the samples z (K, m) and their moduli |z|, the read-only
-    sight-line stack (K, 3), and the one grid the observations share or
-    their K grids with the (K, m) bins stacked once.  Every loss and
-    gradient call of the fit reads these instead of rebuilding them, and a
-    primitive's sight-line-only terms (a slipping ring's azimuth direction)
-    are kept for the fit's line stack after the first call that needs them.
-    What depends on theta, the geometry, the lags and the kernel, is
-    evaluated per call.
+    sight-line stack (K, 3), and the one grid the observations share.  Every
+    loss and gradient call of the fit reads these instead of rebuilding
+    them, and a primitive's sight-line-only terms (a slipping ring's azimuth
+    direction) are kept for the fit's line stack after the first call that
+    needs them.  What depends on theta, the geometry, the lags and the
+    kernel, is evaluated per call.
     """
 
     z: np.ndarray
     abs_z: np.ndarray
     lines: np.ndarray
-    grid: RangeGrid | _GridStack
+    grid: RangeGrid
 
 
 def _as_batch(observations: list[Observation] | _Batch) -> _Batch:
@@ -194,16 +193,16 @@ def _as_batch(observations: list[Observation] | _Batch) -> _Batch:
         return observations
     if not observations:
         raise ValueError("need at least one observation")
-    grids = tuple(o.grid for o in observations)
-    if any(g.m != grids[0].m for g in grids):
-        raise ValueError("all observations must share the same number of bins")
+    grid = observations[0].grid
+    if any(o.grid != grid for o in observations):
+        raise ValueError("all observations must share one range grid")
     # np.array, not np.stack: the same (K, m) copy at a fraction of the call cost
     z = np.array([o.z for o in observations])
     lines = np.array([o.line.vec for o in observations])
     abs_z = np.abs(z)
     for a in (z, abs_z, lines):
         a.setflags(write=False)
-    return _Batch(z, abs_z, lines, grids[0] if all(g == grids[0] for g in grids) else _GridStack(grids))
+    return _Batch(z, abs_z, lines, grid)
 
 
 def _checked(observations: list[Observation] | _Batch, w: WeightMatrix, kind: str) -> _Batch:
@@ -218,14 +217,14 @@ def _checked(observations: list[Observation] | _Batch, w: WeightMatrix, kind: st
 def batch_loss(
     observations: list[Observation] | _Batch,
     model: PointScatteringModel,
-    wf: WaveformKernel,
+    wf: LfmWaveform,
     w: WeightMatrix,
     kind: str = "coherent",
 ) -> float:
     """Unweighted sum of per-observation losses.
 
-    observations is a list of Observations, or the stack a fit builds from
-    them once.
+    observations is a list of Observations on one range grid, or the stack
+    a fit builds from them once.
     """
     batch = _checked(observations, w, kind)
     g = synthesize_profiles(model, wf, batch.grid, batch.lines)
@@ -237,7 +236,7 @@ def batch_loss(
 def batch_gradient(
     observations: list[Observation] | _Batch,
     model: PointScatteringModel,
-    wf: WaveformKernel,
+    wf: LfmWaveform,
     w: WeightMatrix,
     kind: str = "coherent",
 ) -> np.ndarray:

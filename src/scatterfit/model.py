@@ -30,11 +30,11 @@ them is laid out as the arrays of a pass over that row alone, so every
 product and sum runs in the same order, and the profiles (B, K, m) and
 Jacobians (B, K, m, P) are bit-identical, row by row, to B separate passes.
 
-What stays fixed through a fit is not rebuilt per call.  A (K, 3) float
-line stack, such as the read-only one a fit's plan holds, passes through
-unconverted; a stack of per-aspect grids built by the plan carries its
-(K, m) bins; a slipping ring keeps its azimuth direction for a read-only
-line stack; and the kernel's scalar factors live on the waveform.  Each
+All sight lines share one range grid.  What stays fixed through a fit is
+not rebuilt per call.  A (K, 3) float line stack, such as the read-only one
+a fit's plan holds, passes through unconverted; the grid keeps its (m,)
+bins; a slipping ring keeps its azimuth direction for a read-only line
+stack; and the kernel's scalar factors live on the waveform.  Each
 call still forms the projected ranges, amplitudes, carrier phase, lags
 (b + p.l)*2/c and kernel from theta: the bin part 2*b/c is not hoisted,
 because 2*b/c + 2*(p.l)/c rounds differently from (b + p.l)*2/c.
@@ -42,7 +42,6 @@ because 2*b/c + 2*(p.l)/c rounds differently from (b + p.l)*2/c.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
@@ -53,7 +52,7 @@ import numpy as np
 from .constants import C_LIGHT
 from .geometry import DegenerateGeometryError, SightLine
 from .scatterer import Scatterer
-from .waveform import WaveformKernel
+from .waveform import LfmWaveform
 
 
 @dataclass(frozen=True)
@@ -256,19 +255,18 @@ def _per_row(values: np.ndarray, n: int):
     return repeat(values[0], n) if len(values) == 1 else values
 
 
-def _forward(model: PointScatteringModel, wf: WaveformKernel, bins: np.ndarray, lines, jacobian: bool, thetas=None):
+def _forward(model: PointScatteringModel, wf: LfmWaveform, bins: np.ndarray, lines, jacobian: bool, thetas=None):
     """Profiles (K, m) and, when asked, Jacobians (K, m, P) for all scatterers at once.
 
-    bins holds the bin ranges, (m,) for a grid shared by every sight line or
-    (K, m) for one grid per sight line.  The kernel runs once on the
-    (N, K, m) lags; the profile is the sum over the N scatterers.  The
-    Jacobian lives in a slot-major (P, K, m) array: each scatterer's
-    consecutive amplitude slots, then its position slots, are one block of
-    rows written by one product, and the (K, m, P) view of that array is
-    returned.  With a (B, P) stack thetas, each array gains a leading stack
-    axis, (B, N, K, m) and (B, P, K, m), so each row is laid out as the
-    arrays of a pass over that row alone; the results are (B, K, m) and
-    (B, K, m, P).
+    bins holds the (m,) bin ranges every sight line shares.  The kernel runs
+    once on the (N, K, m) lags; the profile is the sum over the N
+    scatterers.  The Jacobian lives in a slot-major (P, K, m) array: each
+    scatterer's consecutive amplitude slots, then its position slots, are
+    one block of rows written by one product, and the (K, m, P) view of that
+    array is returned.  With a (B, P) stack thetas, each array gains a
+    leading stack axis, (B, N, K, m) and (B, P, K, m), so each row is laid
+    out as the arrays of a pass over that row alone; the results are
+    (B, K, m) and (B, K, m, P).
 
     One slot vector runs without the stack axis rather than as a one-row
     stack, indexing theta[cols] directly: folding and unfolding a stack adds
@@ -308,7 +306,7 @@ def _forward(model: PointScatteringModel, wf: WaveformKernel, bins: np.ndarray, 
     scratch = ag[..., None] * r
     out = np.add.reduce(scratch, axis=-3)
     # one slot's (K, m) block per row
-    by_slot = np.empty(pl.shape[:-2] + (layout.n_params, lmat.shape[0], bins.shape[-1]), dtype=complex)
+    by_slot = np.empty(pl.shape[:-2] + (layout.n_params, lmat.shape[0], len(bins)), dtype=complex)
     # d g / d(amplitude slots) = gamma * R * da/dtheta
     gr = np.multiply(gamma[..., None], r, out=scratch)
     for (kind, _, _, blocks), slots in zip(layout.amplitudes, amp_slots):
@@ -328,46 +326,28 @@ def _forward(model: PointScatteringModel, wf: WaveformKernel, bins: np.ndarray, 
     return out, by_slot.transpose(last)
 
 
-class _GridStack(tuple):
-    """K range grids of m bins each, with their (K, m) bins stacked once and read-only."""
-
-    def __new__(cls, grids):
-        self = super().__new__(cls, grids)
-        self.bins = np.array([g.bins for g in self])
-        self.bins.setflags(write=False)
-        return self
-
-
-def _grid_bins(grid: RangeGrid | Sequence[RangeGrid]) -> np.ndarray:
-    """(m,) bins of one RangeGrid, or (K, m) bins of a sequence of K grids of m bins each."""
-    if isinstance(grid, (RangeGrid, _GridStack)):
-        return grid.bins
-    return np.array([g.bins for g in grid])
-
-
 def synthesize_profiles(
-    model: PointScatteringModel, wf: WaveformKernel, grid: RangeGrid | Sequence[RangeGrid], lines, thetas=None
+    model: PointScatteringModel, wf: LfmWaveform, grid: RangeGrid, lines, thetas=None
 ) -> np.ndarray:
-    """Profiles for a stack of sight lines: complex (K, m) array.
+    """Profiles for a stack of sight lines on one range grid: complex (K, m) array.
 
-    grid is one RangeGrid for every sight line, or a sequence of K grids, one
-    per sight line, all with m bins.  thetas, if given, is a (B, P) stack of
-    slot vectors for the model's scatterers; the result is then (B, K, m),
-    and row b is bit-identical to the profiles of ``model.unpack(thetas[b])``.
+    thetas, if given, is a (B, P) stack of slot vectors for the model's
+    scatterers; the result is then (B, K, m), and row b is bit-identical to
+    the profiles of ``model.unpack(thetas[b])``.
     """
-    return _forward(model, wf, _grid_bins(grid), lines, False, thetas)[0]
+    return _forward(model, wf, grid.bins, lines, False, thetas)[0]
 
 
 def profile_jacobians(
-    model: PointScatteringModel, wf: WaveformKernel, grid: RangeGrid | Sequence[RangeGrid], lines, thetas=None
+    model: PointScatteringModel, wf: LfmWaveform, grid: RangeGrid, lines, thetas=None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Profiles (K, m) and d(profile)/d(slots) (K, m, P) for a stack of sight lines.
 
-    grid and thetas are as for ``synthesize_profiles``, and the profiles are
+    thetas is as for ``synthesize_profiles``, and the profiles are
     bit-identical to it; with thetas the results are (B, K, m) and
     (B, K, m, P), each row bit-identical to a call on that row's model.
     The Jacobian is a view of a slot-major array, so each slot's (K, m)
     block is contiguous; ``jac.reshape(-1, P)`` is still a view, and so is a
     stack's ``jac.reshape(B, -1, P)``.
     """
-    return _forward(model, wf, _grid_bins(grid), lines, True, thetas)
+    return _forward(model, wf, grid.bins, lines, True, thetas)

@@ -15,7 +15,7 @@ import numpy as np
 from .geometry import SightLine
 from .loss import Observation
 from .model import PointScatteringModel, RangeGrid, synthesize_profiles
-from .waveform import WaveformKernel
+from .waveform import LfmWaveform
 
 
 @dataclass(frozen=True)
@@ -61,7 +61,7 @@ def sweep_sightlines(
 
 def synthesize_pattern(
     model: PointScatteringModel,
-    wf: WaveformKernel,
+    wf: LfmWaveform,
     grid: RangeGrid,
     lines,
     spec: NoiseSpec,

@@ -1,4 +1,4 @@
-"""Pulse autocorrelation kernels used by the matched-filter range profile.
+"""The chirp pulse autocorrelation kernel used by the matched-filter range profile.
 
 A range profile sample is a sum of scaled, delayed copies of the transmit
 pulse autocorrelation, so synthesis and differentiation only ever need the
@@ -13,7 +13,6 @@ call does only the work on its lags.
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,26 +22,8 @@ import numpy as np
 _SMALL_ARG = 1e-4
 
 
-class WaveformKernel(ABC):
-    """Complex pulse autocorrelation R(tau), its lag derivative, and the carrier."""
-
-    fc: float
-
-    @abstractmethod
-    def autocorr(self, tau, deriv: bool = False):
-        """R(tau) for scalar or array lag [s]; with deriv, (R, dR/dtau) from one pass.
-
-        Array results are new arrays that the caller owns and may overwrite.
-        """
-
-    @property
-    @abstractmethod
-    def peak(self) -> float:
-        """|R(0)|, the matched-filter peak."""
-
-
 @dataclass(frozen=True)
-class LfmWaveform(WaveformKernel):
+class LfmWaveform:
     """Linear FM chirp x(t) = A exp(j(pi*alpha*t^2 + 2*pi*f0*t)), t in [0, T).
 
     Attributes:
@@ -83,7 +64,7 @@ class LfmWaveform(WaveformKernel):
 
     @property
     def peak(self) -> float:
-        """R(0) = A^2 T."""
+        """|R(0)| = A^2 T, the matched-filter peak."""
         return self._peak
 
     def autocorr(self, tau, deriv: bool = False):
@@ -99,6 +80,9 @@ class LfmWaveform(WaveformKernel):
         runs only when some lag is below the switch point.  The scalar
         factors pi*T*alpha, pi*alpha, pi*(2*f0 + T*alpha) and A^2*T are
         formed once per waveform.
+
+        Array results are new arrays that the caller owns and may overwrite:
+        ``model._forward`` writes its products into them in place.
         """
         scalar = not isinstance(tau, np.ndarray) and np.isscalar(tau)
         t = np.asarray(tau, dtype=float)

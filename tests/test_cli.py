@@ -176,8 +176,6 @@ CONFIG_FAULTS = [
      "fit: expected an object, got str"),
     ("descent-not-object", {("fit", "descent"): 5},
      "fit.descent: expected an object, got int"),
-    ("line-search-not-object", {("fit", "descent", "line_search"): []},
-     "fit.descent.line_search: expected an object, got list"),
     ("initial-model-empty", {("fit", "initial_model"): []},
      "fit.initial_model: expected a non-empty list of scatterers"),
     ("root-unknown-key", {("grids",): {}},
@@ -199,9 +197,10 @@ CONFIG_FAULTS = [
     ("fit-unknown-key", {("fit", "method"): "bfgs"},
      "fit: unknown key 'method' (allowed: descent, initial_model, strategy, weight)"),
     ("descent-unknown-key", {("fit", "descent", "tol"): 1e-3},
-     "fit.descent: unknown key 'tol' (allowed: grad_norm_tol, line_search, loss_rel_tol, max_iters)"),
-    ("line-search-unknown-key", {("fit", "descent", "line_search"): {"shrink": 0.5}},
-     "fit.descent.line_search: unknown key 'shrink' (allowed: bracket_growth, max_bracket_steps, section_tol)"),
+     "fit.descent: unknown key 'tol' (allowed: grad_norm_tol, loss_rel_tol, max_iters)"),
+    ("line-search-block", {("fit", "descent", "line_search"): {"bracket_growth": 2.0, "max_bracket_steps": 40,
+                                                                "section_tol": 1e-4}},
+     "fit.descent: unknown key 'line_search' (allowed: grad_norm_tol, loss_rel_tol, max_iters)"),
     ("missing-waveform", {("waveform",): DROP},
      "missing required field 'waveform'"),
     ("missing-scatterers", {("scatterers",): DROP},
@@ -268,18 +267,12 @@ CONFIG_FAULTS = [
      "noise.sigma2: must be >= 0.0, got -0.01"),
     ("negative-seed", {("noise", "seed"): -1},
      "noise.seed: must be >= 0, got -1"),
-    ("zero-max-iters", {("fit", "descent", "max_iters"): 0},
-     "fit.descent.max_iters: must be >= 1, got 0"),
+    ("negative-max-iters", {("fit", "descent", "max_iters"): -1},
+     "fit.descent.max_iters: must be >= 0, got -1"),
     ("negative-loss-tol", {("fit", "descent", "loss_rel_tol"): -1e-8},
      "fit.descent.loss_rel_tol: must be >= 0.0, got -1e-08"),
     ("negative-grad-tol", {("fit", "descent", "grad_norm_tol"): -1.0},
      "fit.descent.grad_norm_tol: must be >= 0.0, got -1.0"),
-    ("bracket-growth-one", {("fit", "descent", "line_search"): {"bracket_growth": 1.0}},
-     "fit.descent.line_search.bracket_growth: must be > 1.0, got 1.0"),
-    ("zero-bracket-steps", {("fit", "descent", "line_search"): {"max_bracket_steps": 0}},
-     "fit.descent.line_search.max_bracket_steps: must be >= 1, got 0"),
-    ("zero-section-tol", {("fit", "descent", "line_search"): {"section_tol": 0.0}},
-     "fit.descent.line_search.section_tol: must be > 0.0, got 0.0"),
     ("bad-strategy", {("fit", "strategy"): "newton"},
      "fit.strategy: expected one of ['coherent', 'noncoherent', 'sequential'], got 'newton'"),
     ("bad-weight", {("fit", "weight"): "ones"},
@@ -556,6 +549,21 @@ def test_fit_coherent_only_phase_column(tmp_path):
     assert all(r[2] == "coherent" for r in rows)
 
 
+def test_fit_zero_iteration_budget(tmp_path):
+    # max_iters 0, which DescentConfig allows, fits nothing and reports the start
+    cfg = write_config(tmp_path, base_config(sigma2=0.0001, fit=fit_block(max_iters=0)))
+    out = tmp_path / "out"
+    assert main(["fit", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    report = json.loads((out / "fit_report.json").read_text())
+    assert report["iterations"] == 0
+    assert report["phase_statuses"] == ["max_iters", "max_iters"]
+    assert report["theta"] == [0.9, 0.0, 1.1]
+    assert (report["loss_evals"], report["grad_evals"]) == (2, 2)
+    _, rows = read_rows(out / "loss_trace.csv")
+    assert [r[2] for r in rows] == ["noncoherent", "coherent"]
+    assert json.loads((out / "resolved_config.json").read_text())["fit"]["descent"]["max_iters"] == 0
+
+
 def test_fit_requires_fit_block(tmp_path, capsys):
     cfg = write_config(tmp_path, base_config())
     assert main(["fit", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -653,7 +661,7 @@ def test_resolve_config_materializes_defaults():
     assert sweep["geometry"]["sweep"]["elevation"] == 0.0
     with_fit = resolve_config(base_config(sigma2=0.01, fit=fit_block()), need_fit=True)
     assert with_fit["fit"]["weight"] == "inverse_noise"
-    assert with_fit["fit"]["descent"]["line_search"]["bracket_growth"] == 2.0
+    assert with_fit["fit"]["descent"] == {"max_iters": 3, "loss_rel_tol": 1e-8, "grad_norm_tol": 1e-9}
 
 
 def _table_keys(table):

@@ -10,7 +10,6 @@ from scatterfit import (
     DescentConfig,
     FixedAmplitude,
     LfmWaveform,
-    LineSearchConfig,
     PointScatteringModel,
     RangeGrid,
     Scatterer,
@@ -30,6 +29,7 @@ from scatterfit import (
     synthesize_profiles,
 )
 from scatterfit import NoiseSpec, Observation, synthesize_pattern
+from scatterfit.estimate import _brent
 from conftest import reference_guess, reference_truth, random_line, rel_err
 
 
@@ -39,7 +39,7 @@ def test_line_search_quadratic():
     assert step == pytest.approx(3.0, rel=1e-3)
     assert loss == (step - 3.0) ** 2
     # a tolerance finer than floats can resolve stops at the float floor
-    step, _, _ = line_search(lambda s: (s - 3.0) ** 2, 9.0, 1.0, LineSearchConfig(section_tol=1e-17))
+    step, _ = _brent(lambda s: (s - 3.0) ** 2, 0.0, 2.0, 4.0, 1.0, 1e-17)
     assert step == pytest.approx(3.0, rel=1e-12)
 
 
@@ -91,13 +91,7 @@ def test_line_search_handles_bad_initial_step():
     assert step == pytest.approx(2.0, rel=1e-3)
 
 
-def test_line_search_config_validation():
-    with pytest.raises(ValueError):
-        LineSearchConfig(bracket_growth=1.0)
-    with pytest.raises(ValueError):
-        LineSearchConfig(max_bracket_steps=0)
-    with pytest.raises(ValueError):
-        LineSearchConfig(section_tol=0.0)
+def test_descent_config_validation():
     with pytest.raises(ValueError):
         DescentConfig(max_iters=-1)
     with pytest.raises(ValueError):
@@ -107,9 +101,6 @@ def test_line_search_config_validation():
 @pytest.mark.parametrize(
     "config, field",
     [
-        (LineSearchConfig, "bracket_growth"),
-        (LineSearchConfig, "max_bracket_steps"),
-        (LineSearchConfig, "section_tol"),
         (DescentConfig, "max_iters"),
         (DescentConfig, "loss_rel_tol"),
         (DescentConfig, "grad_norm_tol"),
@@ -117,7 +108,7 @@ def test_line_search_config_validation():
 )
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_configs_reject_non_finite_fields(config, field, bad):
-    # nan passes a plain `<= 0` check, and a line search with a nan section_tol never returns
+    # nan passes a plain `<= 0` check, and a descent with a nan tolerance never stops on it
     with pytest.raises(ValueError, match=r"nan|inf"):
         config(**{field: bad})
 
@@ -294,9 +285,12 @@ def test_fits_evaluate_through_the_traced_call_chain(noisy_reference_fit, monkey
     report = sequential_fit([obs], reference_guess(), wf, w, DescentConfig(max_iters=3))
     assert (calls["batch_loss"], calls["batch_gradient"]) == (report.loss_evals, report.grad_evals)
     assert report.loss_evals > report.grad_evals > 0
+    assert len(callers) == report.loss_evals + report.grad_evals
+    # the residual is formed once, when first read; the noncoherent phase's never is
+    assert report.residual is report.residual
     assert set(callers) == {"synthesize_profiles", "profile_jacobians"}
-    # one kernel call per evaluation, plus the residual at each phase's end
-    assert len(callers) == report.loss_evals + report.grad_evals + 2
+    # one kernel call per evaluation, plus the residual of the returned report
+    assert len(callers) == report.loss_evals + report.grad_evals + 1
 
 
 def test_a_fit_plan_serves_its_own_sight_lines_only(wf_unit, grid_mid, monkeypatch):
@@ -351,8 +345,8 @@ def test_line_search_seed_rule(noisy_reference_fit, monkeypatch):
     wf, obs, w = noisy_reference_fit
     calls = []
 
-    def recorded(f, f0, initial_step, cfg):
-        result = line_search(f, f0, initial_step, cfg)
+    def recorded(f, f0, initial_step):
+        result = line_search(f, f0, initial_step)
         calls.append((f0, initial_step, result[0]))
         return result
 
@@ -386,16 +380,16 @@ def test_noncoherent_descent_keeps_the_paper_seed(noisy_reference_fit, monkeypat
     # every noncoherent search is seeded at 0.1 * loss / |grad|^2, exactly. The
     # pinned theta and losses allow for rounding: a 4e-16 change in the gradient
     # moves theta by up to 1e-8 relative, since Brent may stop anywhere inside
-    # section_tol. Warm-starting this phase as the coherent one moves theta by
+    # its 1e-4 tolerance. Warm-starting this phase as the coherent one moves theta by
     # 6e-4 to 0.23, the last two losses by about 100%, and makes 42 evaluations
     import scatterfit.estimate as estimate
 
     wf, obs, w = noisy_reference_fit
     seeds = []
 
-    def recorded(f, f0, initial_step, cfg):
+    def recorded(f, f0, initial_step):
         seeds.append((f0, initial_step))
-        return line_search(f, f0, initial_step, cfg)
+        return line_search(f, f0, initial_step)
 
     monkeypatch.setattr(estimate, "line_search", recorded)
     report = gradient_descent([obs], reference_guess(), wf, "noncoherent", w, DescentConfig(max_iters=4))
@@ -444,7 +438,9 @@ def test_coherent_warm_start_cuts_evaluations():
     assert report.loss_evals / report.iterations < (23.5 + 9.9) / 2.0
 
 
-def test_each_phase_names_the_rule_that_ended_it():
+def test_each_phase_names_the_rule_that_ended_it(monkeypatch):
+    import scatterfit.estimate as estimate
+
     # the monte-carlo shape ends on the relative gradient norm at the
     # benchmark's tolerances and on the 3-step loss window at the defaults
     wf, obs, init, w = monte_carlo_shape()
@@ -452,12 +448,14 @@ def test_each_phase_names_the_rule_that_ended_it():
         report = gradient_descent(obs, init, wf, "coherent", w, cfg)
         assert report.phase_stop_reasons == (reason,)
         assert report.status == "converged" and 0 < report.iterations < cfg.max_iters
-    # a budget that runs out, and a search allowed one shrink, which soon finds no decrease
+    # a budget that runs out
     short = gradient_descent(obs, init, wf, "coherent", w, DescentConfig(max_iters=3))
     assert (short.status, short.phase_stop_reasons) == ("max_iters", ("max_iters",))
-    cramped = DescentConfig(line_search=LineSearchConfig(max_bracket_steps=1))
-    stuck = gradient_descent(obs, init, wf, "coherent", w, cramped)
-    assert (stuck.status, stuck.phase_stop_reasons) == ("stalled", ("stalled",))
+    # an ascent direction: the first search finds no decrease along it
+    with monkeypatch.context() as patch:
+        patch.setattr(estimate, "batch_gradient", lambda *args: -batch_gradient(*args))
+        stuck = gradient_descent(obs, init, wf, "coherent", w)
+    assert (stuck.status, stuck.phase_stop_reasons, stuck.iterations) == ("stalled", ("stalled",), 0)
     # a fit that starts at the truth of noise-free data has a zero gradient:
     # each phase stops on the gradient norm before its first step
     wf, grid, line, truth = one_sphere_scenario()

@@ -4,24 +4,21 @@ import numpy as np
 import pytest
 
 from scatterfit import (
-    DegenerateGeometryError,
-    FixedAmplitude,
     NoiseSpec,
     Observation,
     PointScatteringModel,
     RangeGrid,
-    Scatterer,
-    SightLine,
-    SlippingRing,
     WeightMatrix,
     batch_gradient,
     batch_loss,
     coherent_loss,
     coherent_loss_gradient,
+    gradient_descent,
     noncoherent_clamp,
     noncoherent_loss,
     noncoherent_loss_gradient,
     profile_jacobians,
+    sequential_fit,
     sightline_from_angles,
     synthesize_pattern,
     synthesize_profiles,
@@ -243,8 +240,8 @@ def test_batch_additivity(wf_unit, rng):
 
 
 def test_batch_mixed_grids(wf_unit, rng):
-    # two grids (same bin count, different offsets and spacings) in one batch,
-    # still one model call; the sums still add up
+    # observations on two grids (same bin count, different offsets and
+    # spacings) are refused by every path that stacks them
     model = reference_truth()
     g1 = RangeGrid(-3.0, 0.2, 23)
     g2 = RangeGrid(-2.5, 0.15, 23)
@@ -253,31 +250,14 @@ def test_batch_mixed_grids(wf_unit, rng):
     z2 = synthesize_profiles(model, wf_unit, g2, line2)[0]
     obs = [Observation(z1, line1, g1), Observation(z2, line2, g2)]
     w = WeightMatrix.identity()
-    guess = model.unpack(model.pack() + 0.02)
-    total = batch_loss(obs, guess, wf_unit, w, "coherent")
-    singles = batch_loss([obs[0]], guess, wf_unit, w, "coherent") + batch_loss(
-        [obs[1]], guess, wf_unit, w, "coherent"
-    )
-    assert total == singles
-    gtotal = batch_gradient(obs, guess, wf_unit, w, "noncoherent")
-    gsingles = batch_gradient([obs[0]], guess, wf_unit, w, "noncoherent") + batch_gradient(
-        [obs[1]], guess, wf_unit, w, "noncoherent"
-    )
-    assert rel_err(gtotal, gsingles) < 1e-12
-
-
-def test_batch_names_degenerate_aspect_across_grids(wf_unit):
-    # the aspect index counts from the start of the batch, not of a run of
-    # observations that share a grid
-    model = PointScatteringModel((Scatterer(FixedAmplitude(1.0, 0.0), SlippingRing(0.5, 0.0)),))
-    g1 = RangeGrid(-3.0, 0.2, 23)
-    g2 = RangeGrid(-2.5, 0.15, 23)
-    lines = [sightline_from_angles(0.3, 0.1), SightLine(np.array([0.0, 0.0, 1.0]))]
-    obs = [Observation(np.zeros(23, dtype=complex), line, grid) for line, grid in zip(lines, (g1, g2))]
-    w = WeightMatrix.identity()
+    message = "^all observations must share one range grid$"
     for evaluate in (batch_loss, batch_gradient):
-        with pytest.raises(DegenerateGeometryError, match="aspect 1"):
+        with pytest.raises(ValueError, match=message):
             evaluate(obs, model, wf_unit, w, "coherent")
+    with pytest.raises(ValueError, match=message):
+        gradient_descent(obs, model, wf_unit, "coherent", w)
+    with pytest.raises(ValueError, match=message):
+        sequential_fit(obs, model, wf_unit, w)
 
 
 def test_batch_validation(wf_unit, rng):
@@ -308,16 +288,7 @@ def test_loss_is_exactly_zero_at_the_truth(wf_unit, grid_mid, rng):
         rng.shuffle(kinds)
         truth = PointScatteringModel(tuple(random_scatterer(rng, k) for k in kinds))
         lines = [random_line(rng) for _ in range(5)]
-        shared = list(synthesize_pattern(truth, wf_unit, grid_mid, lines, NoiseSpec(0.0, seed=trial)).observations)
-        per_line = [
-            synthesize_pattern(
-                truth, wf_unit, RangeGrid(grid_mid.b0 + 0.05 * k, grid_mid.delta * (1.0 + 0.01 * k), grid_mid.m),
-                [line], NoiseSpec(0.0, seed=trial),
-            ).observations[0]
-            for k, line in enumerate(lines)
-        ]
-        assert len({o.grid for o in per_line}) == len(lines)
-        for obs in (shared, per_line):
-            for kind in ("coherent", "noncoherent"):
-                for w in (WeightMatrix.identity(), WeightMatrix.from_sigma2(0.01)):
-                    assert batch_loss(obs, truth, wf_unit, w, kind) == 0.0
+        obs = list(synthesize_pattern(truth, wf_unit, grid_mid, lines, NoiseSpec(0.0, seed=trial)).observations)
+        for kind in ("coherent", "noncoherent"):
+            for w in (WeightMatrix.identity(), WeightMatrix.from_sigma2(0.01)):
+                assert batch_loss(obs, truth, wf_unit, w, kind) == 0.0

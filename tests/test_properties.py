@@ -18,7 +18,6 @@ from scatterfit import (
     FixedAmplitude,
     FixedCylindrical,
     LfmWaveform,
-    LineSearchConfig,
     Observation,
     PointScatteringModel,
     RangeGrid,
@@ -42,6 +41,7 @@ from scatterfit import (
 )
 from conftest import POSITION_KINDS, rel_err
 from scatterfit.cli import _PRIMITIVE_TYPES, resolve_config
+from scatterfit.estimate import _SECTION_TOL, _brent
 from scatterfit.waveform import _SMALL_ARG
 
 PROPERTY = settings(max_examples=60, deadline=None)
@@ -168,18 +168,10 @@ def test_gradients_match_the_per_bin_formulas(wf_unit, model, lines, grid_w, see
 
 
 @PROPERTY
-@given(
-    models,
-    line_stacks,
-    bin_counts.flatmap(lambda m: st.lists(grids(m), min_size=2, max_size=3)),
-    st.integers(0, 2**32 - 1),
-)
-def test_mixed_grid_batch_is_sum_of_singles(wf_unit, model, lines, grid_set, seed):
+@given(models, line_stacks, bin_counts.flatmap(grids), st.integers(0, 2**32 - 1))
+def test_batch_is_sum_of_singles(wf_unit, model, lines, grid, seed):
     rng = np.random.default_rng(seed)
-    obs = []
-    for k, line in enumerate(lines):
-        grid = grid_set[k % len(grid_set)]  # interleave the grids
-        obs.append(Observation(_noisy(rng, synthesize_profiles(model, wf_unit, grid, line)[0]), line, grid))
+    obs = [Observation(_noisy(rng, synthesize_profiles(model, wf_unit, grid, line)[0]), line, grid) for line in lines]
     guess = model.unpack(model.pack() + 0.01)
     w = WeightMatrix.identity()
     for kind in ("coherent", "noncoherent"):
@@ -223,16 +215,14 @@ def test_compiled_pass_equals_single_scatterer_models(wf_unit, model, lines, gri
 @st.composite
 def ring_problems(draw):
     """A model of 1-6 scatterers, one of them a slipping ring, 1-4 sight lines
-    with one shared grid or one grid each, weights, and a seed."""
+    on one grid, weights, and a seed."""
     others = draw(st.lists(scatterers(), min_size=0, max_size=5))
     ring = Scatterer(FixedAmplitude(draw(_real(0.3, 2.0)), draw(_real(-1.0, 1.0))),
                      SlippingRing(draw(_real(0.0, 1.5)), draw(_real(-2.0, 2.0))))
     at = draw(st.integers(0, len(others)))
     model = PointScatteringModel(tuple(others[:at] + [ring] + others[at:]))
     lines, m = draw(st.lists(sightlines, min_size=1, max_size=4)), draw(bin_counts)
-    shared = draw(grids(m))
-    grid_of = [shared] * len(lines) if draw(st.booleans()) else [draw(grids(m)) for _ in lines]
-    return model, lines, grid_of, draw(weights(m)), draw(st.integers(0, 2**32 - 1))
+    return model, lines, draw(grids(m)), draw(weights(m)), draw(st.integers(0, 2**32 - 1))
 
 
 @PROPERTY
@@ -241,10 +231,9 @@ def test_a_fit_plan_serves_bit_identical_losses_and_gradients(wf_unit, problem, 
     # every loss and gradient a fit evaluates through its plan (stacked once,
     # with |z|, the bins and the ring direction kept) is bit for bit the call
     # on a freshly listed set of observations
-    model, lines, grid_of, w, seed = problem
+    model, lines, grid, w, seed = problem
     rng = np.random.default_rng(seed)
-    obs = [Observation(_noisy(rng, synthesize_profiles(model, wf_unit, grid, line)[0]), line, grid)
-           for line, grid in zip(lines, grid_of)]
+    obs = [Observation(_noisy(rng, synthesize_profiles(model, wf_unit, grid, line)[0]), line, grid) for line in lines]
     start = model.unpack(model.pack() + rng.normal(scale=0.02, size=model.n_params))
     served = []
 
@@ -262,7 +251,7 @@ def test_a_fit_plan_serves_bit_identical_losses_and_gradients(wf_unit, problem, 
     plan = served[0][1]
     assert all(data is plan for _, data, _, _ in served)
     # and the loss functions on the plain stacked arrays, which build no plan
-    z, grid = np.stack([o.z for o in obs]), [o.grid for o in obs]
+    z = np.stack([o.z for o in obs])
     loss = {"coherent": coherent_loss, "noncoherent": noncoherent_loss}[kind]
     for fn, _, model, value in served:
         fresh = fn(list(obs), model, wf_unit, w, kind)
@@ -278,11 +267,10 @@ def test_a_fit_plan_serves_bit_identical_losses_and_gradients(wf_unit, problem, 
 
 @st.composite
 def stacked_problems(draw):
-    """A mixed model, B = 1..5 random slot vectors for it, sight lines, a shared
-    grid or one grid per sight line, weights, and a seed for the observed samples."""
+    """A mixed model, B = 1..5 random slot vectors for it, sight lines, their
+    grid, weights, and a seed for the observed samples."""
     model, lines, m = draw(mixed_models), draw(line_stacks), draw(bin_counts)
-    per_aspect = st.lists(grids(m), min_size=len(lines), max_size=len(lines))
-    grid = draw(st.one_of(grids(m), per_aspect))
+    grid = draw(grids(m))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     thetas = model.pack() + rng.normal(scale=0.3, size=(draw(st.integers(1, 5)), model.n_params))
     return model, lines, grid, thetas, draw(weights(m)), rng
@@ -300,7 +288,7 @@ def test_theta_stack_rows_equal_single_models(wf_unit, problem):
     # a (B, P) stack runs as one forward pass; each row is bit for bit the pass
     # over model.unpack(row), and so is each stacked loss
     model, lines, grid, thetas, w, rng = problem
-    b, m = len(thetas), (grid if isinstance(grid, RangeGrid) else grid[0]).m
+    b, m = len(thetas), grid.m
     g, jac = profile_jacobians(model, wf_unit, grid, lines, thetas)
     assert g.shape == (b, len(lines), m) and jac.shape == (b, len(lines), m, model.n_params)
     assert np.array_equal(synthesize_profiles(model, wf_unit, grid, lines, thetas), g)
@@ -452,7 +440,7 @@ def unimodal_rays(draw):
     return (lambda s: (s - a) ** 4), a  # flat near a: slow for parabolic steps
 
 
-def _search(f, initial_step, tol):
+def _search(f, initial_step):
     """Run line_search on f, returning its result and every step it evaluated."""
     steps = []
 
@@ -460,7 +448,7 @@ def _search(f, initial_step, tol):
         steps.append(s)
         return f(s)
 
-    return line_search(probe, f(0.0), initial_step, LineSearchConfig(section_tol=tol)), steps
+    return line_search(probe, f(0.0), initial_step), steps
 
 
 def _bracket_width(steps, a):
@@ -474,13 +462,13 @@ initial_factors = _log_uniform(-3, 9)  # the paper's seed overshoots the accepte
 
 
 @LINE_SEARCH
-@given(unimodal_rays(), initial_factors, tolerances)
-def test_line_search_finds_the_minimizer(ray, factor, tol):
+@given(unimodal_rays(), initial_factors)
+def test_line_search_finds_the_minimizer(ray, factor):
     f, a = ray
-    (step, loss, stalled), steps = _search(f, factor * a, tol)
+    (step, loss, stalled), steps = _search(f, factor * a)
     assert not stalled
-    assert abs(step - a) <= tol * a
-    assert _bracket_width(steps, a) <= tol * step
+    assert abs(step - a) <= _SECTION_TOL * a
+    assert _bracket_width(steps, a) <= _SECTION_TOL * step
     assert loss == f(step)
     assert loss <= f(0.0)
     assert min(steps) > 0.0
@@ -488,21 +476,46 @@ def test_line_search_finds_the_minimizer(ray, factor, tol):
 
 
 @LINE_SEARCH
-@given(unimodal_rays(), initial_factors, tolerances, _real(1.01, 4.0), st.sampled_from((np.inf, np.nan)))
-def test_line_search_survives_a_non_finite_tail(ray, factor, tol, cut, bad):
+@given(unimodal_rays(), initial_factors, _real(1.01, 4.0), st.sampled_from((np.inf, np.nan)))
+def test_line_search_survives_a_non_finite_tail(ray, factor, cut, bad):
     f, a = ray
 
     def tail(s):
         return f(s) if s < cut * a else bad
 
-    (step, loss, stalled), steps = _search(tail, factor * a, tol)
+    (step, loss, stalled), steps = _search(tail, factor * a)
     assert not stalled
     assert np.isfinite(loss)
     assert loss == tail(step)
     assert loss <= tail(0.0)
-    assert abs(step - a) <= tol * a
-    assert _bracket_width(steps, a) <= tol * step
+    assert abs(step - a) <= _SECTION_TOL * a
+    assert _bracket_width(steps, a) <= _SECTION_TOL * step
     assert min(steps) > 0.0
+
+
+@LINE_SEARCH
+@given(
+    unimodal_rays(), _real(0.5, 1.0), _real(2.0, 10.0), tolerances, _real(1.01, 4.0), st.sampled_from((np.inf, np.nan))
+)
+def test_brent_narrows_any_bracket_to_its_tolerance(ray, inner, outer, tol, cut, bad):
+    # Brent's method on a bracket (0, x, hi) of the minimizer, through a
+    # non-finite tail past cut * a, closes to tol * step around it
+    f, a = ray
+    x, hi = inner * a, outer * a
+    steps = []
+
+    def tail(s):
+        steps.append(s)
+        return f(s) if s < cut * a else bad
+
+    step, loss = _brent(tail, 0.0, x, hi, f(x), tol)
+    assert np.isfinite(loss)
+    assert loss == f(step)
+    assert loss <= f(x)
+    assert abs(step - a) <= tol * a
+    assert _bracket_width(steps + [x, hi], a) <= tol * step
+    assert all(0.0 < s < hi for s in steps)
+    assert len(steps) == len(set(steps))
 
 
 # valid config values: each inside its field's bounds, integers where a float is accepted too
@@ -545,14 +558,9 @@ _fits = st.fixed_dictionaries(
     optional={
         "weight": st.just("identity"),
         "descent": st.fixed_dictionaries({}, optional={
-            "max_iters": _count,
+            "max_iters": st.integers(0, 500),
             "loss_rel_tol": _non_negative,
             "grad_norm_tol": _non_negative,
-            "line_search": st.fixed_dictionaries({}, optional={
-                "bracket_growth": st.one_of(st.floats(1.0, 10.0, exclude_min=True), st.integers(2, 10)),
-                "max_bracket_steps": _count,
-                "section_tol": _log_uniform(-8.0, 0.0),
-            }),
         }),
     },
 )
