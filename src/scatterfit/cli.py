@@ -39,7 +39,7 @@ from .loss import (
     noncoherent_loss,
     noncoherent_loss_gradient,
 )
-from .model import PointScatteringModel, RangeGrid, profile_jacobians
+from .model import PointScatteringModel, RangeGrid, profile_jacobians, synthesize_profiles
 from .scatterer import (
     FixedAmplitude,
     FixedCylindrical,
@@ -407,8 +407,9 @@ def parse_sweep_range(spec: str) -> np.ndarray:
     return np.linspace(lo, hi, steps)
 
 
-# Lags in one batched forward pass of `sweep-loss`: bounds the memory of a
-# chunk of sweep points, whose temporaries and Jacobian grow with its lags.
+# Lags of the swept scatterer in one batched forward pass of `sweep-loss`:
+# bounds the memory of a chunk of sweep points, whose temporaries and
+# Jacobian grow with those lags.
 _SWEEP_LAGS = 2**15
 
 
@@ -420,29 +421,45 @@ def cmd_sweep_loss(cfg, out_dir: str, quiet: bool, scatterer: int, slot: str, ra
     names = model.scatterers[scatterer].slot_names
     if slot not in names:
         raise ConfigError("--slot", f"scatterer {scatterer} has no slot {slot!r} (has: {', '.join(names)})")
-    j = model.slot_labels().index(f"s{scatterer}.{slot}")
+    j = names.index(slot)
 
     pattern, grid, lines, wf = _synthesize(cfg)
     zs = np.stack([o.z for o in pattern.observations])
+    abs_zs = np.abs(zs)  # formed once: the noncoherent terms read only |z|, and |(|z|)| is |z|
     lmat = np.stack([l.vec for l in lines])
     w = WeightMatrix.identity()
     clamp = noncoherent_clamp(wf)
-    thetas = np.tile(model.pack(), (len(offsets), 1))
+    # Only the swept scatterer moves, so only its one-scatterer model (the
+    # model itself if it has one scatterer) runs per chunk; each other
+    # scatterer's profile term is formed once.  The terms sit
+    # in the scatterer rows of a (chunk, N, K, m) buffer, laid out as the whole
+    # model's stacked pass lays them out, so the same reduction over those rows
+    # gives the same bits as that pass.  The points run as stacks of at most
+    # _SWEEP_LAGS lags of the swept scatterer (at least one point each).
+    singles = [PointScatteringModel((s,)) for s in model.scatterers] if len(model.scatterers) > 1 else [model]
+    swept = singles[scatterer]
+    thetas = np.tile(swept.pack(), (len(offsets), 1))
     thetas[:, j] += offsets
-    # the points run as stacks of at most _SWEEP_LAGS lags (at least one point each)
-    chunk = max(1, _SWEEP_LAGS // (len(model.scatterers) * zs.size))
+    chunk = min(len(offsets), max(1, _SWEEP_LAGS // zs.size))
+    terms = np.empty((chunk, len(singles)) + zs.shape, dtype=complex)
+    for n, single in enumerate(singles):
+        if n != scatterer:
+            terms[:, n] = synthesize_profiles(single, wf, grid, lmat)
 
     rows = ["offset,coherent_loss,noncoherent_loss,coherent_grad,noncoherent_grad"]
     for start in range(0, len(offsets), chunk):
         points = slice(start, start + chunk)
-        g, jac = profile_jacobians(model, wf, grid, lmat, thetas[points])
+        stack = thetas[points]
+        part = terms[: len(stack)]
+        part[:, scatterer], jac = profile_jacobians(swept, wf, grid, lmat, stack)
+        g = np.add.reduce(part, axis=1)
         column = jac[..., j : j + 1]  # only the swept slot's gradient entry is written
         columns = (
             offsets[points],
             coherent_loss(zs, g, w),
-            noncoherent_loss(zs, g, w),
+            noncoherent_loss(abs_zs, g, w),
             coherent_loss_gradient(zs, g, column, w)[:, 0],
-            noncoherent_loss_gradient(zs, g, column, w, clamp)[:, 0],
+            noncoherent_loss_gradient(abs_zs, g, column, w, clamp)[:, 0],
         )
         rows.extend(",".join(_fmt(v) for v in point) for point in zip(*columns))
     _write(out_dir, "sweep.csv", "\n".join(rows) + "\n", quiet)

@@ -326,6 +326,16 @@ def _forward(model: PointScatteringModel, wf: LfmWaveform, bins: np.ndarray, lin
     return out, by_slot.transpose(last)
 
 
+def _bins(grid: RangeGrid) -> np.ndarray:
+    """The grid's (m,) bin ranges; anything but one grid is refused by name."""
+    try:
+        return grid.bins
+    except AttributeError:
+        raise TypeError(
+            f"expected one RangeGrid: all sight lines share one range grid, got {type(grid).__name__}"
+        ) from None
+
+
 def synthesize_profiles(
     model: PointScatteringModel, wf: LfmWaveform, grid: RangeGrid, lines, thetas=None
 ) -> np.ndarray:
@@ -335,7 +345,7 @@ def synthesize_profiles(
     scatterers; the result is then (B, K, m), and row b is bit-identical to
     the profiles of ``model.unpack(thetas[b])``.
     """
-    return _forward(model, wf, grid.bins, lines, False, thetas)[0]
+    return _forward(model, wf, _bins(grid), lines, False, thetas)[0]
 
 
 def profile_jacobians(
@@ -350,4 +360,4 @@ def profile_jacobians(
     block is contiguous; ``jac.reshape(-1, P)`` is still a view, and so is a
     stack's ``jac.reshape(B, -1, P)``.
     """
-    return _forward(model, wf, grid.bins, lines, True, thetas)
+    return _forward(model, wf, _bins(grid), lines, True, thetas)

@@ -433,15 +433,16 @@ def test_sweep_loss_gradient_matches_row_differences(tmp_path):
 
 
 def test_sweep_loss_chunks_do_not_change_the_table(tmp_path, monkeypatch):
-    # the points run as stacks of at most the lag budget; one point per stack
-    # writes the same bytes, and the columns match a per-point evaluation
+    # the points run as stacks of at most the lag budget of the swept
+    # scatterer; smaller stacks, down to one point per stack, write the same
+    # bytes, and the columns match a per-point evaluation of the whole model
     raw = base_config(sigma2=0.01, seed=3, geometry={"sweep": {"count": 4, "elevation": 0.2}})
     raw["scatterers"].append({
         "amplitude": {"type": "fixed", "s_re": 0.6, "s_im": 0.3},
         "position": {"type": "fixed_cylindrical", "r_s": 0.4, "phi_s": 0.7, "z_s": -0.2},
     })
     cfg_path = write_config(tmp_path, raw)
-    lags_per_point = 2 * 4 * 31
+    lags_per_point = 4 * 31
     stacks = []
 
     def recording(model, wf, grid, lines, thetas=None):
@@ -458,8 +459,12 @@ def test_sweep_loss_chunks_do_not_change_the_table(tmp_path, monkeypatch):
         return (out / "sweep.csv").read_bytes(), list(stacks)
 
     table, sizes = sweep(tmp_path / "default")
+    assert sizes == [201] and 201 * lags_per_point <= cli._SWEEP_LAGS
+    monkeypatch.setattr(cli, "_SWEEP_LAGS", 50 * lags_per_point)
+    chunked, sizes = sweep(tmp_path / "chunked")
     assert len(sizes) > 1 and sum(sizes) == 201
     assert max(sizes) * lags_per_point <= cli._SWEEP_LAGS
+    assert chunked == table
     monkeypatch.setattr(cli, "_SWEEP_LAGS", 1)
     one_by_one, sizes = sweep(tmp_path / "single")
     assert sizes == [1] * 201
@@ -482,6 +487,70 @@ def test_sweep_loss_chunks_do_not_change_the_table(tmp_path, monkeypatch):
     assert [r[:3] for r in rows] == want
     got, grads = np.array([[float(v) for v in r[3:]] for r in rows]), np.array(grads)
     assert np.all(np.abs(got - grads) <= 1e-13 * np.max(np.abs(grads), axis=0))
+
+
+def _whole_model_sweep(cfg, scatterer, slot, offsets) -> bytes:
+    """The sweep table from the whole model's pass over the θ stack, column j
+    of its full Jacobian, formatted as `sweep-loss` writes it."""
+    model, wf = cli.build_model(cfg["scatterers"]), cli.build_waveform(cfg)
+    grid, lines = cli.build_grid(cfg), cli.build_sightlines(cfg)
+    noise = NoiseSpec(cfg["noise"]["sigma2"], cfg["noise"]["seed"])
+    zs = np.stack([o.z for o in synthesize_pattern(model, wf, grid, lines, noise).observations])
+    w, clamp = WeightMatrix.identity(), noncoherent_clamp(wf)
+    j = model.slot_labels().index(f"s{scatterer}.{slot}")
+    thetas = np.tile(model.pack(), (len(offsets), 1))
+    thetas[:, j] += offsets
+    g, jac = profile_jacobians(model, wf, grid, np.stack([l.vec for l in lines]), thetas)
+    column = jac[..., j : j + 1]
+    columns = (
+        offsets,
+        coherent_loss(zs, g, w),
+        noncoherent_loss(zs, g, w),
+        coherent_loss_gradient(zs, g, column, w)[:, 0],
+        noncoherent_loss_gradient(zs, g, column, w, clamp)[:, 0],
+    )
+    rows = ["offset,coherent_loss,noncoherent_loss,coherent_grad,noncoherent_grad"]
+    rows.extend(",".join(repr(float(v)) for v in point) for point in zip(*columns))
+    return ("\n".join(rows) + "\n").encode()
+
+
+_SHIPPED = Path(__file__).resolve().parents[1] / "configs"
+
+
+def _four_on_one_bin():
+    # one aspect and one bin: numpy then reduces the scatterer axis pairwise,
+    # so only the whole pass's reduction order gives its bits
+    raw = base_config(sigma2=0.01, seed=5, grid={"b0_m": 0.3, "delta_m": 0.15, "m_samples": 1})
+    raw["scatterers"] = [
+        {"amplitude": {"type": "fixed", "s_re": 1.0, "s_im": 0.2},
+         "position": {"type": "spherical", "rho_s": 0.35}},
+        {"amplitude": {"type": "fixed", "s_re": 0.7, "s_im": -0.4},
+         "position": {"type": "fixed_cylindrical", "r_s": 0.3, "phi_s": 0.5, "z_s": 0.1}},
+        {"amplitude": {"type": "fixed", "s_re": 1.3, "s_im": 0.1},
+         "position": {"type": "slipping", "r_s": 0.2, "z_s": -0.1}},
+        {"amplitude": {"type": "fixed", "s_re": 0.4, "s_im": 0.9},
+         "position": {"type": "spherical", "rho_s": 0.25}},
+    ]
+    return raw
+
+
+@pytest.mark.parametrize("source", ["paper_single_profile.json", "paper_static_pattern.json", "four-on-one-bin"])
+def test_sweep_loss_matches_the_whole_model_pass(tmp_path, source):
+    # only the swept scatterer is re-evaluated per offset, yet every slot's
+    # table is byte for byte the whole model's stacked pass
+    raw = _four_on_one_bin() if source == "four-on-one-bin" else json.loads((_SHIPPED / source).read_text())
+    cfg_path = write_config(tmp_path, raw)
+    cfg = resolve_config(raw)
+    spec = "-0.01:0.03:7"
+    offsets = parse_sweep_range(spec)
+    model = cli.build_model(cfg["scatterers"])
+    for i, s in enumerate(model.scatterers):
+        for slot in s.slot_names:
+            out = tmp_path / f"s{i}.{slot}"
+            args = ["sweep-loss", "--config", cfg_path, "--out", str(out), "--quiet",
+                    "--scatterer", str(i), "--slot", slot, f"--range={spec}"]
+            assert main(args) == 0
+            assert (out / "sweep.csv").read_bytes() == _whole_model_sweep(cfg, i, slot, offsets), f"s{i}.{slot}"
 
 
 def test_sweep_loss_argument_validation(tmp_path, capsys):

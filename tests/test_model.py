@@ -97,6 +97,14 @@ def test_theta_stack_shapes_and_errors(wf_unit, grid_mid, rng):
             evaluate(ring, wf_unit, grid_mid, axis, np.tile(ring.pack(), (5, 1)))
 
 
+def test_a_list_of_grids_names_the_one_grid_rule(wf_unit, grid_mid, rng):
+    model = reference_truth()
+    lines = [random_line(rng) for _ in range(2)]
+    for evaluate in (synthesize_profiles, profile_jacobians):
+        with pytest.raises(TypeError, match="^expected one RangeGrid: all sight lines share one range grid"):
+            evaluate(model, wf_unit, [grid_mid, grid_mid], lines)
+
+
 def test_slot_labels():
     labels = reference_truth().slot_labels()
     assert labels[:5] == ["s0.s_re", "s0.s_im", "s0.r_s", "s0.phi_s", "s0.z_s"]

@@ -194,18 +194,28 @@ mixed_models = st.lists(scatterers(), min_size=0, max_size=6).map(lambda s: Poin
 
 
 @PROPERTY
-@given(mixed_models, line_stacks, bin_counts.flatmap(grids))
-def test_compiled_pass_equals_single_scatterer_models(wf_unit, model, lines, grid):
-    # the per-type groups reassemble exactly what each scatterer gives alone:
-    # profiles add, and Jacobian columns sit in slot order
+@given(mixed_models, line_stacks, bin_counts.flatmap(grids), st.integers(0, 2**32 - 1))
+def test_compiled_pass_equals_single_scatterer_models(wf_unit, model, lines, grid, seed):
+    # the per-type groups reassemble exactly what each scatterer gives alone,
+    # bit for bit: the profile is the reduction over the stacked one-scatterer
+    # profiles, and the Jacobian columns sit in slot order; `sweep-loss`
+    # evaluates the whole model this way
     g, jac = profile_jacobians(model, wf_unit, grid, lines)
     assert g.shape == (len(lines), grid.m) and jac.shape == (len(lines), grid.m, model.n_params)
     if not model.scatterers:
         assert not np.any(g)
         return
-    parts = [profile_jacobians(PointScatteringModel((s,)), wf_unit, grid, lines) for s in model.scatterers]
-    assert rel_err(g, sum(p[0] for p in parts)) <= 1e-12
-    assert rel_err(jac, np.concatenate([p[1] for p in parts], axis=-1)) <= 1e-12
+    singles = [PointScatteringModel((s,)) for s in model.scatterers]
+    parts = [profile_jacobians(single, wf_unit, grid, lines) for single in singles]
+    assert np.array_equal(g, np.add.reduce(np.stack([p[0] for p in parts]), axis=0))
+    assert np.array_equal(jac, np.concatenate([p[1] for p in parts], axis=-1))
+    # the same for a (B, P) stack, each scatterer's model on its own columns
+    thetas = model.pack() + np.random.default_rng(seed).normal(scale=0.05, size=(3, model.n_params))
+    gs, jacs = profile_jacobians(model, wf_unit, grid, lines, thetas)
+    parts = [profile_jacobians(single, wf_unit, grid, lines, thetas[:, sl])
+             for single, sl in zip(singles, model.slot_slices())]
+    assert np.array_equal(gs, np.add.reduce(np.stack([p[0] for p in parts], axis=1), axis=1))
+    assert np.array_equal(jacs, np.concatenate([p[1] for p in parts], axis=-1))
     # an unpacked model shares the compiled layout and evaluates the same
     same = model.unpack(model.pack())
     assert np.array_equal(synthesize_profiles(same, wf_unit, grid, lines), g)
