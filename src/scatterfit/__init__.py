@@ -9,7 +9,6 @@ from .geometry import (
 )
 from .waveform import LfmWaveform, lfm_from_band
 from .scatterer import (
-    AmplitudeModel,
     FixedAmplitude,
     FixedCylindrical,
     PositionModel,
@@ -51,7 +50,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "C_LIGHT",
-    "AmplitudeModel",
     "CrlbResult",
     "DegenerateGeometryError",
     "DescentConfig",

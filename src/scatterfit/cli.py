@@ -324,17 +324,17 @@ def _power_dbw(re: float, im: float) -> float:
     return max(10.0 * math.log10(p), -300.0)
 
 
-def profile_csv(samples: np.ndarray, grid: RangeGrid, multi_aspect: bool) -> str:
-    """ProfileCsv text for a (m,) profile or a (k, m) pattern."""
-    rows = np.atleast_2d(samples)
+def profile_csv(samples: np.ndarray, grid: RangeGrid) -> str:
+    """ProfileCsv text for a (K, m) pattern, with an aspect_index column when K > 1."""
+    multi_aspect = len(samples) > 1
     bins = grid.bins
     lines = []
     header = "r_m,re,im,abs,power_dbw"
     if multi_aspect:
         header = "aspect_index," + header
     lines.append(header)
-    for k in range(rows.shape[0]):
-        for b, v in zip(bins, rows[k]):
+    for k, row in enumerate(samples):
+        for b, v in zip(bins, row):
             cells = [_fmt(b), _fmt(v.real), _fmt(v.imag), _fmt(abs(v)), _fmt(_power_dbw(v.real, v.imag))]
             if multi_aspect:
                 cells.insert(0, str(k))
@@ -367,22 +367,20 @@ def _load_config(path: str, need_fit: bool, seed_override: int | None) -> dict:
     return resolve_config(raw, need_fit=need_fit, seed_override=seed_override)
 
 
-def _synthesize(cfg) -> tuple[StaticPattern, RangeGrid, list[SightLine], LfmWaveform]:
+def _synthesize(cfg, truth: PointScatteringModel) -> tuple[StaticPattern, RangeGrid, list[SightLine], LfmWaveform]:
     wf = build_waveform(cfg)
     grid = build_grid(cfg)
     lines = build_sightlines(cfg)
     spec = NoiseSpec(cfg["noise"]["sigma2"], cfg["noise"]["seed"])
-    pattern = synthesize_pattern(build_model(cfg["scatterers"]), wf, grid, lines, spec)
+    pattern = synthesize_pattern(truth, wf, grid, lines, spec)
     return pattern, grid, lines, wf
 
 
 def cmd_synth(cfg, out_dir: str, quiet: bool) -> int:
-    pattern, grid, lines, _ = _synthesize(cfg)
+    pattern, grid, _, _ = _synthesize(cfg, build_model(cfg["scatterers"]))
     noisy = np.stack([o.z for o in pattern.observations])
-    clean = pattern.clean
-    multi = len(lines) > 1
-    _write(out_dir, "profile_noisy.csv", profile_csv(noisy if multi else noisy[0], grid, multi), quiet)
-    _write(out_dir, "profile_clean.csv", profile_csv(clean if multi else clean[0], grid, multi), quiet)
+    _write(out_dir, "profile_noisy.csv", profile_csv(noisy, grid), quiet)
+    _write(out_dir, "profile_clean.csv", profile_csv(pattern.clean, grid), quiet)
     _write_echo(out_dir, cfg, quiet)
     return 0
 
@@ -423,7 +421,7 @@ def cmd_sweep_loss(cfg, out_dir: str, quiet: bool, scatterer: int, slot: str, ra
         raise ConfigError("--slot", f"scatterer {scatterer} has no slot {slot!r} (has: {', '.join(names)})")
     j = names.index(slot)
 
-    pattern, grid, lines, wf = _synthesize(cfg)
+    pattern, grid, lines, wf = _synthesize(cfg, model)
     zs = np.stack([o.z for o in pattern.observations])
     abs_zs = np.abs(zs)  # formed once: the noncoherent terms read only |z|, and |(|z|)| is |z|
     lmat = np.stack([l.vec for l in lines])
@@ -490,7 +488,7 @@ def _fit_report_json(report: FitReport, model: PointScatteringModel, strategy: s
 
 
 def cmd_fit(cfg, out_dir: str, quiet: bool) -> int:
-    pattern, grid, lines, wf = _synthesize(cfg)
+    pattern, grid, _, wf = _synthesize(cfg, build_model(cfg["scatterers"]))
     fit_cfg = cfg["fit"]
     model0 = build_model(fit_cfg["initial_model"])
     descent = build_descent(fit_cfg["descent"])
@@ -513,9 +511,7 @@ def cmd_fit(cfg, out_dir: str, quiet: bool) -> int:
         rows.append(f"{i},{_fmt(value)},{phase}")
     _write(out_dir, "loss_trace.csv", "\n".join(rows) + "\n", quiet)
 
-    multi = len(lines) > 1
-    residual = report.residual
-    _write(out_dir, "residual.csv", profile_csv(residual if multi else residual[0], grid, multi), quiet)
+    _write(out_dir, "residual.csv", profile_csv(report.residual, grid), quiet)
     _write_echo(out_dir, cfg, quiet)
     if not quiet:
         print(f"fit status: {report.status} after {report.iterations} iterations")

@@ -334,8 +334,8 @@ def sequential_fit(
 
 def fisher_info(jac, sigma2: float) -> np.ndarray:
     """(P, P) J = (2 / sigma2) Re{G^H G} of an (m, P) Jacobian G, for white noise R = sigma2 * I."""
-    if sigma2 <= 0.0:
-        raise ValueError(f"noise power must be > 0, got {sigma2}")
+    if not 0.0 < sigma2 < math.inf:
+        raise ValueError(f"noise power must be finite and > 0, got {sigma2}")
     g = np.asarray(jac)
     j = (2.0 / sigma2) * (np.conj(g).T @ g).real
     return (j + j.T) / 2.0

@@ -31,6 +31,7 @@ bits as a call on the listed observations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,8 +69,8 @@ class WeightMatrix:
     @classmethod
     def from_sigma2(cls, sigma2: float) -> "WeightMatrix":
         """Inverse-noise-power weighting, the default when sigma^2 is known."""
-        if sigma2 <= 0.0:
-            raise ValueError(f"noise power must be > 0, got {sigma2}")
+        if not 0.0 < sigma2 < math.inf:
+            raise ValueError(f"noise power must be finite and > 0, got {sigma2}")
         return cls("scalar", 1.0 / sigma2)
 
     @classmethod

@@ -14,21 +14,24 @@ the profile Jacobian follows from
 
 with d(p.l)/dtheta = P^T l from the position model Jacobian P.
 
-A model is compiled once into a layout that groups its scatterers by
-primitive type.  The forward pass then has no loop over scatterers: each
-type's primitive evaluates the slot rows of all its scatterers in one call,
-projected ranges and amplitudes are (N, K) arrays, the kernel runs once on
-the (N, K, m) lags, the profiles are a sum over N, and each scatterer's
-block of Jacobian columns is written in one product into a slot-major
-(P, K, m) array, whose (K, m, P) view is returned.
+Every amplitude is a_n = s_re + j*s_im, the scatterer's first two slots,
+so da/d(s_re, s_im) = [1, j].  A model is compiled once into a layout that
+holds those two theta columns per scatterer and groups the scatterers by
+position type.  The forward pass then has no loop over scatterers: one
+gather forms all amplitudes, each position type's primitive evaluates the
+slot rows of all its scatterers in one call, the kernel runs once on the
+(N, K, m) lags, the profiles are a sum over N, and each scatterer's
+amplitude and position blocks of Jacobian columns are written, one product
+each, into a slot-major (P, K, m) array, whose (K, m, P) view is returned.
 
 The same pass evaluates a stack of B slot vectors (B, P) for one layout.
-Each type's slot rows are folded to (B*n, n_slots), so the primitives run
-once per type for the whole stack, and the arrays above gain a leading
-stack axis: (B, N, K, m) lags and a (B, P, K, m) Jacobian.  Each row of
-them is laid out as the arrays of a pass over that row alone, so every
-product and sum runs in the same order, and the profiles (B, K, m) and
-Jacobians (B, K, m, P) are bit-identical, row by row, to B separate passes.
+Each position type's slot rows are folded to (B*n, n_slots), so the
+primitives run once per type for the whole stack, and the arrays above gain
+a leading stack axis: (B, N, K, m) lags and a (B, P, K, m) Jacobian.  Each
+row of them is laid out as the arrays of a pass over that row alone, so
+every product and sum runs in the same order, and the profiles (B, K, m)
+and Jacobians (B, K, m, P) are bit-identical, row by row, to B separate
+passes.
 
 All sight lines share one range grid.  What stays fixed through a fit is
 not rebuilt per call.  A (K, 3) float line stack, such as the read-only one
@@ -51,7 +54,7 @@ import numpy as np
 
 from .constants import C_LIGHT
 from .geometry import DegenerateGeometryError, SightLine
-from .scatterer import Scatterer
+from .scatterer import FixedAmplitude, PositionModel, Scatterer
 from .waveform import LfmWaveform
 
 
@@ -82,29 +85,34 @@ class RangeGrid:
 
 
 class _Layout:
-    """A model's structure, compiled once: per-scatterer slot slices and per-type groups.
+    """A model's structure, compiled once: slot slices, amplitude columns, position-type groups.
 
-    amplitudes and positions hold one (kind, rows, cols, blocks) tuple per
-    primitive type, in order of first appearance: the primitive class, the
-    index of its scatterers (a slice when they are consecutive, else their
-    (n,) indices), the (n, n_slots) theta columns of their slots, and per
-    scatterer the one-row slice of its index and the slice of those
-    (consecutive) columns.  prototypes are the scatterers the layout was
-    compiled from; every model sharing it rebuilds its own scatterers from
-    them and its theta.
+    amplitude_cols are each scatterer's (s_re, s_im) theta columns, (N, 2),
+    and amplitude_blocks its (one-row index slice, column slice) pair.
+    positions holds one (kind, rows, cols, blocks) tuple per position type,
+    in order of first appearance: the primitive class, the index of its
+    scatterers (a slice when they are consecutive, else their (n,) indices),
+    the (n, n_slots) theta columns of their slots, and per scatterer the
+    one-row slice of its index and the slice of those (consecutive) columns.
+    prototypes are the scatterers the layout was compiled from; every model
+    sharing it rebuilds its own scatterers from them and its theta.
     """
 
     def __init__(self, scatterers: tuple[Scatterer, ...]):
         self.prototypes = scatterers
         self.slices, start = [], 0
-        for s in scatterers:
+        for index, s in enumerate(scatterers):
+            if not isinstance(s.amplitude_model, FixedAmplitude):
+                raise TypeError(f"scatterer {index}: amplitude must be a FixedAmplitude, got {s.amplitude_model!r}")
+            if not isinstance(s.position_model, PositionModel):
+                raise TypeError(f"scatterer {index}: position must be a PositionModel, got {s.position_model!r}")
             self.slices.append(slice(start, start + s.n_slots))
             start += s.n_slots
         self.n_params = start
-        self.amplitudes = self._groups([(s.amplitude_model, sl.start) for s, sl in zip(scatterers, self.slices)])
-        self.positions = self._groups(
-            [(s.position_model, sl.start + s.amplitude_model.n_slots) for s, sl in zip(scatterers, self.slices)]
-        )
+        starts = [sl.start for sl in self.slices]
+        self.amplitude_cols = np.array(starts, dtype=np.intp)[:, None] + np.arange(2)
+        self.amplitude_blocks = tuple((slice(i, i + 1), slice(f, f + 2)) for i, f in enumerate(starts))
+        self.positions = self._groups([(s.position_model, sl.start + 2) for s, sl in zip(scatterers, self.slices)])
 
     @staticmethod
     def _groups(parts) -> tuple[tuple[type, slice | np.ndarray, np.ndarray, tuple[tuple[slice, slice], ...]], ...]:
@@ -127,7 +135,7 @@ class PointScatteringModel:
     """An ordered collection of scatterers with one flat parameter vector.
 
     The scatterers are compiled once into a layout that groups them by
-    primitive type; the model itself is that layout plus theta, so
+    position type; the model itself is that layout plus theta, so
     ``unpack`` swaps theta in O(1) and the forward pass evaluates each type's
     scatterers together.  ``scatterers`` is rebuilt from theta on first use.
     """
@@ -183,6 +191,9 @@ class PointScatteringModel:
 
 _FLOAT = np.dtype(float)
 
+_RE_IM = np.array([[[1.0 + 0.0j]], [[0.0 + 1.0j]]])  # d(s_re + j*s_im)/d(s_re, s_im), one (1, 1) block per slot
+_RE_IM.setflags(write=False)
+
 try:  # np.einsum without optimize calls this C function after a Python dispatch layer
     from numpy._core.multiarray import c_einsum as _einsum
 except ImportError:  # pragma: no cover - other numpy layouts
@@ -218,7 +229,7 @@ def _theta_stack(model: PointScatteringModel, thetas) -> np.ndarray:
 
 
 def _group_slots(groups, theta: np.ndarray) -> list[np.ndarray]:
-    """Each type group's slot rows: (n, n_slots) from one theta (P,), or from a
+    """Each position group's slot rows: (n, n_slots) from one theta (P,), or from a
     stack (B, P) the (B*n, n_slots) rows of its B copies, stack-major."""
     if theta.ndim == 1:
         return [theta[cols] for _, _, cols, _ in groups]
@@ -261,8 +272,8 @@ def _forward(model: PointScatteringModel, wf: LfmWaveform, bins: np.ndarray, lin
     bins holds the (m,) bin ranges every sight line shares.  The kernel runs
     once on the (N, K, m) lags; the profile is the sum over the N
     scatterers.  The Jacobian lives in a slot-major (P, K, m) array: each
-    scatterer's consecutive amplitude slots, then its position slots, are
-    one block of rows written by one product, and the (K, m, P) view of that
+    scatterer's two amplitude slots, then its position slots, are each one
+    block of rows written by one product, and the (K, m, P) view of that
     array is returned.  With a (B, P) stack thetas, each array gains a
     leading stack axis, (B, N, K, m) and (B, P, K, m), so each row is laid
     out as the arrays of a pass over that row alone; the results are
@@ -284,12 +295,10 @@ def _forward(model: PointScatteringModel, wf: LfmWaveform, bins: np.ndarray, lin
         stack, at, slots_first, last = len(theta), (slice(None),), (1, 0, 3, 2), (0, 2, 3, 1)
     lmat = _as_line_stack(lines)
     pos_slots = _group_slots(layout.positions, theta)
-    amp_slots = _group_slots(layout.amplitudes, theta)
     pl = _projected_ranges(layout, pos_slots, lmat, stack)
+    amp = theta[..., layout.amplitude_cols]  # (N, 2), or (B, N, 2) for a stack
     a = np.empty(pl.shape, dtype=complex)
-    for (kind, rows, _, _), slots in zip(layout.amplitudes, amp_slots):
-        values = kind.values(slots, lmat)
-        a[at + (rows,)] = values if stack is None else _unfold(values, stack)
+    a[...] = (amp[..., 0] + 1j * amp[..., 1])[..., None]
     k4 = 4.0 * np.pi * wf.fc / C_LIGHT
     gamma = np.exp(1j * k4 * pl)
     ag = a * gamma
@@ -307,13 +316,10 @@ def _forward(model: PointScatteringModel, wf: LfmWaveform, bins: np.ndarray, lin
     out = np.add.reduce(scratch, axis=-3)
     # one slot's (K, m) block per row
     by_slot = np.empty(pl.shape[:-2] + (layout.n_params, lmat.shape[0], len(bins)), dtype=complex)
-    # d g / d(amplitude slots) = gamma * R * da/dtheta
+    # d g / d(s_re, s_im) = gamma * R * [1, j]
     gr = np.multiply(gamma[..., None], r, out=scratch)
-    for (kind, _, _, blocks), slots in zip(layout.amplitudes, amp_slots):
-        grad = kind.gradients(slots, lmat)
-        grad = (grad if stack is None else _unfold(grad, stack)).transpose(slots_first)[..., None]
-        for (row, span), d in zip(blocks, _per_row(grad, len(blocks))):
-            np.multiply(gr[at + (row,)], d, out=by_slot[at + (span,)])
+    for row, span in layout.amplitude_blocks:
+        np.multiply(gr[at + (row,)], _RE_IM, out=by_slot[at + (span,)])
     # d g / d(position slots) = a * gamma * (j*k4*R + 2/c * dR/dtau) * d(p.l)/dtheta
     d_range = np.multiply(1j * k4, r, out=r)  # d(gamma*R)/d(p.l) / gamma
     d_range += np.multiply(2.0 / C_LIGHT, dr, out=dr)

@@ -1,16 +1,18 @@
-"""Scatterer primitives: complex amplitudes plus aspect-dependent positions.
+"""Scatterer primitives: a complex amplitude plus an aspect-dependent position.
 
-A scatterer owns a flat slot vector: amplitude slots first, then position
-slots.  Every primitive knows its own Jacobian with respect to its slots,
-which is what makes profile synthesis differentiable end to end.
+A scatterer owns a flat slot vector: its amplitude slots (s_re, s_im) first,
+then its position slots.  The forward pass forms the amplitude s_re + j*s_im
+and its Jacobian [1, j] itself; every position primitive knows its own
+Jacobian with respect to its slots, which is what makes profile synthesis
+differentiable end to end.
 
-A primitive's geometry and amplitude are written once, as static methods
-over the slot rows (n, n_slots) of all n scatterers of its type and a stack
-of K sight lines, shape (K, 3); so a model's forward pass makes one call per
-primitive type, and ``Scatterer.position`` is the same call with one row.
-A new primitive is one class like these plus one entry in the CLI's type
-table.  Radius-like slots are only sign-checked by ``validate()`` (i.e. when
-building a model from user input); an optimizer is free to drive them
+A position primitive's geometry is written once, as static methods over the
+slot rows (n, n_slots) of all n scatterers of its type and a stack of K
+sight lines, shape (K, 3); so a model's forward pass makes one call per
+position type, and ``Scatterer.position`` is the same call with one row.
+A new position model is one class like these plus one entry in the CLI's
+type table.  Radius-like slots are only sign-checked by ``validate()`` (i.e.
+when building a model from user input); an optimizer is free to drive them
 through zero.
 """
 
@@ -57,25 +59,6 @@ def _check_radius(value: float, what: str) -> None:
         raise ValueError(f"{what} radius must be >= 0, got {value}")
 
 
-class AmplitudeModel(_SlotModel):
-    """Complex scattering amplitude and its gradient w.r.t. its own slots.
-
-    Both are evaluated for the slot rows (n, n_slots) of the n scatterers of
-    one type at once, and may return any array that broadcasts to the stated
-    shape; `lines` is accepted for aspect-dependent extensions.
-    """
-
-    @staticmethod
-    @abstractmethod
-    def values(slots: np.ndarray, lines: np.ndarray) -> np.ndarray:
-        """Amplitudes for slot rows (n, n_slots) and sight-line stack (K, 3) -> complex (n, K)."""
-
-    @staticmethod
-    @abstractmethod
-    def gradients(slots: np.ndarray, lines: np.ndarray) -> np.ndarray:
-        """d(amplitude)/d(slots) -> complex (n, K, n_slots)."""
-
-
 class PositionModel(_SlotModel):
     """Aspect-dependent scatterer position and its slot Jacobian.
 
@@ -95,26 +78,14 @@ class PositionModel(_SlotModel):
         """d(position)/d(slots) -> (n, K, 3, n_slots)."""
 
 
-_RE_IM = np.array([[[1.0 + 0.0j, 0.0 + 1.0j]]])  # d(s_re + j*s_im)/d(s_re, s_im)
-_RE_IM.setflags(write=False)
-
-
 @dataclass(frozen=True)
-class FixedAmplitude(AmplitudeModel):
-    """Aspect-independent complex amplitude S = s_re + j*s_im."""
+class FixedAmplitude(_SlotModel):
+    """Aspect-independent complex amplitude S = s_re + j*s_im; the forward pass forms it from these slots."""
 
     s_re: float
     s_im: float = 0.0
 
     slot_names = ("s_re", "s_im")
-
-    @staticmethod
-    def values(slots: np.ndarray, lines: np.ndarray) -> np.ndarray:
-        return (slots[:, 0] + 1j * slots[:, 1])[:, None]
-
-    @staticmethod
-    def gradients(slots: np.ndarray, lines: np.ndarray) -> np.ndarray:
-        return _RE_IM
 
 
 @dataclass(frozen=True)
@@ -253,7 +224,7 @@ class Scatterer:
     Slot order is amplitude slots, then position slots.
     """
 
-    amplitude_model: AmplitudeModel
+    amplitude_model: FixedAmplitude
     position_model: PositionModel
 
     @property

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: configs, outputs, exit codes."""
 
 import json
+import os
 import re
 import subprocess
 import sys
@@ -9,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import scatterfit
 import scatterfit.cli as cli
 from scatterfit import (
     NoiseSpec,
@@ -399,6 +401,18 @@ def test_sweep_loss_zero_width(tmp_path):
     assert float(rows[0][0]) == 0.0
 
 
+def test_sweep_loss_builds_the_truth_model_once(tmp_path, monkeypatch):
+    # the command builds the truth model and synthesizes its observations from that same model
+    built = []
+    build_model = cli.build_model
+    monkeypatch.setattr(cli, "build_model", lambda block: built.append(block) or build_model(block))
+    cfg = write_config(tmp_path, base_config(sigma2=0.01, seed=2))
+    args = ["sweep-loss", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet",
+            "--scatterer", "0", "--slot", "rho_s", "--range=-0.1:0.1:3"]
+    assert main(args) == 0
+    assert len(built) == 1
+
+
 def test_sweep_loss_minimum_at_truth(tmp_path):
     cfg = write_config(tmp_path, base_config(sigma2=0.0))
     out = tmp_path / "out"
@@ -754,10 +768,13 @@ def test_readme_schema_names_every_config_key():
 def test_module_entry_point(tmp_path):
     cfg = write_config(tmp_path, base_config())
     out = tmp_path / "out"
+    # the subprocess imports the same package tree as this test, installed or not
+    env = {**os.environ, "PYTHONPATH": str(Path(scatterfit.__file__).resolve().parents[1])}
     proc = subprocess.run(
         [sys.executable, "-m", "scatterfit.cli", "synth", "--config", cfg, "--out", str(out), "--quiet"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert (out / "profile_noisy.csv").exists()

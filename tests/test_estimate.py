@@ -1,5 +1,7 @@
 """Descent fitting, exact line search, Fisher information, and the CRLB."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -488,9 +490,12 @@ def test_fisher_matches_naive_loop(rng):
 
 def test_fisher_argument_checks(rng):
     jac = rng.normal(size=(5, 2)) + 0j
-    for sigma2 in (0.0, -0.1):
-        with pytest.raises(ValueError):
+    for sigma2 in (0.0, -0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="noise power must be finite and > 0"):
             fisher_info(jac, sigma2=sigma2)
+    wf, grid, lines = multi_aspect_setup()
+    with pytest.raises(ValueError, match="noise power must be finite and > 0"):
+        crlb(reference_truth(), wf, grid, lines, math.nan)
 
 
 def multi_aspect_setup():

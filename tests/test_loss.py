@@ -1,5 +1,7 @@
 """Coherent and noncoherent losses, their gradients, and the weight forms."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -203,10 +205,9 @@ def test_observation_copies_the_callers_samples(grid_mid):
 
 
 def test_weight_validation():
-    with pytest.raises(ValueError):
-        WeightMatrix.from_sigma2(0.0)
-    with pytest.raises(ValueError):
-        WeightMatrix.from_sigma2(-1.0)
+    for sigma2 in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="noise power must be finite and > 0"):
+            WeightMatrix.from_sigma2(sigma2)
     with pytest.raises(ValueError):
         WeightMatrix("scalar", -2.0)
     with pytest.raises(ValueError):

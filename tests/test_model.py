@@ -159,7 +159,32 @@ def test_profile_peaks_near_projected_ranges(wf_unit, grid_mid):
         idx = int(np.argmin(np.abs(bins - r)))
         window = g[max(idx - 1, 0) : idx + 2]
         amp = s.amplitude_model
-        assert window.max() >= 0.6 * abs(amp.values(np.array([amp.params]), line.vec[None, :])[0, 0]) * wf_unit.peak
+        assert window.max() >= 0.6 * abs(complex(amp.s_re, amp.s_im)) * wf_unit.peak
+
+
+def test_amplitude_columns_are_unit_amplitude_profiles(wf_unit, grid_mid, rng):
+    # d g / d(s_re, s_im) = gamma * R * [1, j], bit for bit: scatterer n's s_re
+    # column is its profile alone at amplitude 1, and its s_im column j times that
+    for _ in range(20):
+        model = random_model(rng, n=int(rng.integers(1, 5)))
+        lines = [random_line(rng) for _ in range(int(rng.integers(1, 4)))]
+        jac = profile_jacobians(model, wf_unit, grid_mid, lines)[1]
+        for s, sl in zip(model.scatterers, model.slot_slices()):
+            unit = PointScatteringModel((Scatterer(FixedAmplitude(1.0, 0.0), s.position_model),))
+            g = synthesize_profiles(unit, wf_unit, grid_mid, lines)
+            assert np.array_equal(jac[..., sl.start], g)
+            assert np.array_equal(jac[..., sl.start + 1], 1j * g)
+
+
+def test_wrong_part_is_refused_when_the_model_is_built():
+    # swapped parts would otherwise read the wrong slots, or fail only at the first evaluation
+    first = reference_truth().scatterers[0]
+    wrong = Scatterer(Spherical(0.5), FixedCylindrical(0.1, 0.2, 0.3))
+    with pytest.raises(TypeError, match="scatterer 1: amplitude must be a FixedAmplitude, got Spherical"):
+        PointScatteringModel((first, wrong))
+    wrong = Scatterer(FixedAmplitude(1.0), FixedAmplitude(0.5, 0.1))
+    with pytest.raises(TypeError, match="scatterer 1: position must be a PositionModel, got FixedAmplitude"):
+        PointScatteringModel((first, wrong))
 
 
 def test_multi_aspect_stack_matches_single(wf_unit, grid_mid, rng):

@@ -56,16 +56,6 @@ def test_validate_rejects_negative_radii():
             bad.validate()
 
 
-def test_amplitude_value_and_gradient(rng):
-    lines = np.stack([random_line(rng).vec for _ in range(3)])
-    # two scatterers' slot rows in one call: one row of values per scatterer
-    slots = np.array([FixedAmplitude(1.3, -0.7).params, FixedAmplitude(0.2, 0.5).params])
-    values = np.broadcast_to(FixedAmplitude.values(slots, lines), (2, 3))
-    assert np.all(values[0] == complex(1.3, -0.7)) and np.all(values[1] == complex(0.2, 0.5))
-    grad = np.broadcast_to(FixedAmplitude.gradients(slots, lines), (2, 3, 2))
-    assert np.array_equal(grad, np.broadcast_to([1.0 + 0.0j, 0.0 + 1.0j], (2, 3, 2)))
-
-
 def test_position_jacobian_against_finite_differences(rng):
     for trial in range(100):
         kind = POSITION_KINDS[trial % 3]
