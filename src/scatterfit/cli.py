@@ -30,7 +30,7 @@ from .estimate import (
     gradient_descent,
     sequential_fit,
 )
-from .geometry import DegenerateGeometryError, SightLine
+from .geometry import SightLine
 from .loss import (
     WeightMatrix,
     coherent_loss,
@@ -192,7 +192,7 @@ def _sightlines(lines, path):
         resolved.append([_as_float(c, f"{p}[{k}]") for k, c in enumerate(vec)])
         try:
             SightLine(resolved[-1])
-        except (ValueError, DegenerateGeometryError) as exc:
+        except ValueError as exc:
             raise ConfigError(p, str(exc)) from exc
     return resolved
 
@@ -603,9 +603,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except DegenerateGeometryError as exc:
-        print(f"evaluation error: {exc}", file=sys.stderr)
-        return 3
     except (ValueError, FloatingPointError) as exc:
         print(f"evaluation error: {exc}", file=sys.stderr)
         return 3

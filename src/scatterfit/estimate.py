@@ -16,12 +16,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from numbers import Integral
 
 import numpy as np
 
 from .loss import WeightMatrix, _as_batch, _Batch, batch_gradient, batch_loss
-from .model import PointScatteringModel, RangeGrid, profile_jacobians, synthesize_profiles
+from .model import PointScatteringModel, RangeGrid, _is_count, profile_jacobians, synthesize_profiles
 from .waveform import LfmWaveform
 
 _CGOLD = (3.0 - math.sqrt(5.0)) / 2.0  # golden-section fraction of the larger side
@@ -32,11 +31,6 @@ _COND_LIMIT = 1e12
 _BRACKET_GROWTH = 2.0
 _MAX_BRACKET_STEPS = 40
 _SECTION_TOL = 1e-4
-
-
-def _is_count(v) -> bool:
-    """An integer (Python or numpy), not a bool, not a float."""
-    return isinstance(v, Integral) and not isinstance(v, bool)
 
 
 @dataclass(frozen=True)
@@ -56,7 +50,7 @@ class DescentConfig:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FitReport:
     """Outcome of one descent run (or a sequential pair of runs).
 
@@ -78,8 +72,8 @@ class FitReport:
     # (both "converged"), "max_iters" or "stalled"
     phase_stop_reasons: tuple[str, ...]
     phase_boundary: int | None = None  # trace index where the coherent phase starts
-    _plan: _Batch | None = field(default=None, repr=False, compare=False)
-    _wf: LfmWaveform | None = field(default=None, repr=False, compare=False)
+    _plan: _Batch | None = field(default=None, repr=False)
+    _wf: LfmWaveform | None = field(default=None, repr=False)
 
     @cached_property
     def residual(self) -> np.ndarray:
@@ -195,13 +189,6 @@ def line_search(f, f0: float, initial_step: float = 1.0) -> tuple[float, float, 
     return _brent(f, lo, mid, hi, f_mid, _SECTION_TOL) + (False,)
 
 
-def _plan(data) -> _Batch:
-    """A fit's evaluation plan: data's observations stacked and checked once, or a plan passed through."""
-    if isinstance(data, _Batch):
-        return data
-    return _as_batch(list(data.observations) if hasattr(data, "observations") else list(data))
-
-
 def gradient_descent(
     data,
     model0: PointScatteringModel,
@@ -224,7 +211,7 @@ def gradient_descent(
     rule.  The observations are stacked once into the fit's evaluation plan,
     which every batch_loss and batch_gradient call reads.
     """
-    obs = _plan(data)  # every loss and gradient call of the fit reads this plan
+    obs = _as_batch(data)  # every loss and gradient call of the fit reads this plan
     w = w or WeightMatrix.identity()
     theta = model0.pack()
     loss_evals = grad_evals = 0
@@ -310,7 +297,7 @@ def sequential_fit(
     entry per phase, noncoherent first. rough_cfg and fine_cfg override cfg
     for their phase when the two need different budgets.
     """
-    plan = _plan(data)  # one evaluation plan serves both phases
+    plan = _as_batch(data)  # one evaluation plan serves both phases
     rough = gradient_descent(plan, model0, wf, "noncoherent", w, rough_cfg or cfg)
     fine = gradient_descent(plan, rough.model, wf, "coherent", w, fine_cfg or cfg)
     merged = [v for _, v in rough.loss_trace] + [v for _, v in fine.loss_trace]
@@ -341,7 +328,7 @@ def fisher_info(jac, sigma2: float) -> np.ndarray:
     return (j + j.T) / 2.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CrlbResult:
     """Aspect-summed Fisher information and, when invertible, the bound."""
 

@@ -21,7 +21,7 @@ class DegenerateGeometryError(ValueError):
 _MIN_NORM = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SightLine:
     """Unit vector from radar to target-frame origin (target coordinates)."""
 
@@ -41,7 +41,7 @@ class SightLine:
         object.__setattr__(self, "vec", v)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Position3:
     """A point in the target frame [m]."""
 

@@ -22,11 +22,10 @@ call on its row.
 
 batch_loss and batch_gradient take a list of observations that share one
 range grid, or a fit's evaluation plan, the stack a fit builds from them
-once: the samples z and their moduli |z|, the read-only (K, 3) sight-line
-stack and the grid.  A call on the plan rebuilds none of these, and a position primitive's
-sight-line-only terms are kept for the plan's line stack; the geometry,
-lags, kernel and loss that depend on theta run per call, and give the same
-bits as a call on the listed observations.
+once: the samples z and their moduli |z|, the (K, 3) sight-line stack and
+the grid.  A call on the plan rebuilds none of these; the geometry, lags,
+kernel and loss that depend on theta run per call, and give the same bits
+as a call on the listed observations.
 """
 
 from __future__ import annotations
@@ -59,6 +58,8 @@ class WeightMatrix:
             self.diag = np.asarray(diag, dtype=float)
             if self.diag.ndim != 1 or not np.all(np.isfinite(self.diag)):
                 raise ValueError("diagonal weights must be a finite 1-D vector")
+            if np.any(self.diag < 0.0):
+                raise ValueError(f"diagonal weights must be >= 0, got {self.diag.min()}")
         else:
             raise ValueError(f"unknown weight kind {kind!r}")
 
@@ -107,7 +108,7 @@ def _gradient(jac: np.ndarray, v: np.ndarray) -> np.ndarray:
     return 2.0 * (jac.reshape(*v.shape[:-1], jac.shape[-1]).swapaxes(-1, -2) @ v)[..., 0].real
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Observation:
     """One noisy profile: complex samples plus the geometry that produced it."""
 
@@ -169,17 +170,15 @@ def noncoherent_clamp(wf: LfmWaveform) -> float:
     return 1e-12 * wf.peak
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Batch:
     """A fit's evaluation plan: its observations stacked and checked once.
 
-    It holds the samples z (K, m) and their moduli |z|, the read-only
-    sight-line stack (K, 3), and the one grid the observations share.  Every
-    loss and gradient call of the fit reads these instead of rebuilding
-    them, and a primitive's sight-line-only terms (a slipping ring's azimuth
-    direction) are kept for the fit's line stack after the first call that
-    needs them.  What depends on theta, the geometry, the lags and the
-    kernel, is evaluated per call.
+    It holds the samples z (K, m) and their moduli |z|, the sight-line stack
+    (K, 3), and the one grid the observations share.  Every loss and
+    gradient call of the fit reads these instead of rebuilding them.  What
+    depends on theta, the geometry, the lags and the kernel, is evaluated
+    per call.
     """
 
     z: np.ndarray
@@ -188,10 +187,12 @@ class _Batch:
     grid: RangeGrid
 
 
-def _as_batch(observations: list[Observation] | _Batch) -> _Batch:
-    """Stack a list of observations, after checking it, or pass a stack through."""
-    if isinstance(observations, _Batch):
-        return observations
+def _as_batch(data) -> _Batch:
+    """A fit's evaluation plan: a plan passed through, or the observations of a
+    list, or of a StaticPattern, stacked and checked once."""
+    if isinstance(data, _Batch):
+        return data
+    observations = list(getattr(data, "observations", data))
     if not observations:
         raise ValueError("need at least one observation")
     grid = observations[0].grid
@@ -200,10 +201,7 @@ def _as_batch(observations: list[Observation] | _Batch) -> _Batch:
     # np.array, not np.stack: the same (K, m) copy at a fraction of the call cost
     z = np.array([o.z for o in observations])
     lines = np.array([o.line.vec for o in observations])
-    abs_z = np.abs(z)
-    for a in (z, abs_z, lines):
-        a.setflags(write=False)
-    return _Batch(z, abs_z, lines, grid)
+    return _Batch(z, np.abs(z), lines, grid)
 
 
 def _checked(observations: list[Observation] | _Batch, w: WeightMatrix, kind: str) -> _Batch:

@@ -34,13 +34,12 @@ and Jacobians (B, K, m, P) are bit-identical, row by row, to B separate
 passes.
 
 All sight lines share one range grid.  What stays fixed through a fit is
-not rebuilt per call.  A (K, 3) float line stack, such as the read-only one
-a fit's plan holds, passes through unconverted; the grid keeps its (m,)
-bins; a slipping ring keeps its azimuth direction for a read-only line
-stack; and the kernel's scalar factors live on the waveform.  Each
-call still forms the projected ranges, amplitudes, carrier phase, lags
-(b + p.l)*2/c and kernel from theta: the bin part 2*b/c is not hoisted,
-because 2*b/c + 2*(p.l)/c rounds differently from (b + p.l)*2/c.
+not rebuilt per call.  A (K, 3) float line stack passes through
+unconverted; the grid keeps its (m,) bins; and the kernel's scalar factors
+live on the waveform.  Each call still forms the projected ranges,
+amplitudes, carrier phase, lags (b + p.l)*2/c and kernel from theta: the
+bin part 2*b/c is not hoisted, because 2*b/c + 2*(p.l)/c rounds
+differently from (b + p.l)*2/c.
 """
 
 from __future__ import annotations
@@ -58,6 +57,11 @@ from .scatterer import FixedAmplitude, PositionModel, Scatterer
 from .waveform import LfmWaveform
 
 
+def _is_count(v) -> bool:
+    """An integer (Python or numpy), not a bool, not a float."""
+    return isinstance(v, Integral) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class RangeGrid:
     """Uniform range sampling: bin k is b0 + k*delta, k = 0..m-1."""
@@ -71,7 +75,7 @@ class RangeGrid:
             raise ValueError(f"grid origin and spacing must be finite, got b0={self.b0}, delta={self.delta}")
         if self.delta <= 0.0:
             raise ValueError(f"grid spacing must be > 0, got {self.delta}")
-        if isinstance(self.m, bool) or not isinstance(self.m, Integral):
+        if not _is_count(self.m):
             raise ValueError(f"bin count must be an integer, got {self.m!r}")
         if self.m < 1:
             raise ValueError(f"grid needs at least one bin, got {self.m}")
@@ -203,8 +207,7 @@ except ImportError:  # pragma: no cover - other numpy layouts
 def _as_line_stack(lines) -> np.ndarray:
     """Sight lines as a (K, 3) array: one SightLine, a list or tuple of them, or vectors.
 
-    A (K, 3) float array, such as the read-only stack a fit prepares, is
-    passed through as is.
+    A (K, 3) float array is passed through as is.
     """
     if type(lines) is np.ndarray and lines.dtype is _FLOAT and lines.ndim == 2 and lines.shape[1] == 3:
         return lines

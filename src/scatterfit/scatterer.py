@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -124,21 +125,16 @@ class FixedCylindrical(PositionModel):
         _check_radius(self.r_s, "ring")
 
 
-# The last read-only line stack _ring_direction saw, and its result.  A fit
-# evaluates one such stack many times; holding it keeps its identity unique.
-_ring_memo: tuple = (None, None)
-
-
 def _ring_direction(lines: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unit xy direction (cos, sin) of each sight line's azimuth, (K,) each.
+    """Unit xy direction (cos, sin) of each sight line's azimuth, (K,) each, read-only."""
+    return _ring_direction_of(np.ascontiguousarray(lines, dtype=float).tobytes())
 
-    The result for a read-only stack that owns its data is kept for the next
-    call on that same stack; a writeable stack, or a view, is never kept.
-    """
-    global _ring_memo
-    held, direction = _ring_memo
-    if lines is held and not lines.flags.writeable:
-        return direction
+
+# Keyed by the stack's float64 bytes: a fit evaluates one stack many times,
+# and a stack rewritten in place gets a new key.  Errors are not cached.
+@lru_cache(maxsize=8)
+def _ring_direction_of(key: bytes) -> tuple[np.ndarray, np.ndarray]:
+    lines = np.frombuffer(key).reshape(-1, 3)
     lx, ly = lines[:, 0], lines[:, 1]
     h = np.hypot(lx, ly)
     bad = np.flatnonzero(h < _MIN_XY)
@@ -147,10 +143,8 @@ def _ring_direction(lines: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             f"aspect {bad[0]}: slipping ring azimuth is undefined for a sight line along the ring axis"
         )
     direction = lx / h, ly / h
-    if lines.base is None and not lines.flags.writeable:
-        for part in direction:
-            part.setflags(write=False)
-        _ring_memo = (lines, direction)
+    for part in direction:
+        part.setflags(write=False)
     return direction
 
 

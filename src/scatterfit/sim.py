@@ -14,7 +14,7 @@ import numpy as np
 
 from .geometry import SightLine
 from .loss import Observation
-from .model import PointScatteringModel, RangeGrid, synthesize_profiles
+from .model import PointScatteringModel, RangeGrid, _is_count, synthesize_profiles
 from .waveform import LfmWaveform
 
 
@@ -28,9 +28,11 @@ class NoiseSpec:
     def __post_init__(self):
         if self.sigma2 < 0.0 or not np.isfinite(self.sigma2):
             raise ValueError(f"noise power must be finite and >= 0, got {self.sigma2}")
+        if not (_is_count(self.seed) and self.seed >= 0):
+            raise ValueError(f"noise seed must be an integer >= 0, got {self.seed!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StaticPattern:
     """One noisy observation per sight line, sharing a grid and noise spec,
     plus the noise-free (K, m) profiles they were drawn around."""

@@ -150,6 +150,8 @@ def lfm_from_band(bandwidth: float, fc: float, duration: float = 1e-6, amplitude
     """Baseband-centered chirp covering the given bandwidth: alpha = B/T, f0 = -B/2."""
     if bandwidth <= 0.0:
         raise ValueError(f"bandwidth must be > 0, got {bandwidth}")
+    if duration <= 0.0:
+        raise ValueError(f"pulse duration must be > 0, got {duration}")
     return LfmWaveform(
         amplitude=amplitude,
         duration=duration,

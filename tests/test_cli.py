@@ -765,6 +765,15 @@ def test_readme_schema_names_every_config_key():
     assert set(re.findall(r'"type":\s*"(\w+)"', schema)) == {name for kinds in types for name in kinds}
 
 
+def test_readme_quick_tour_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    tour = readme.split("## Library quick tour", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+    # the subprocess imports the same package tree as this test, installed or not
+    env = {**os.environ, "PYTHONPATH": str(Path(scatterfit.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", tour], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_module_entry_point(tmp_path):
     cfg = write_config(tmp_path, base_config())
     out = tmp_path / "out"

@@ -295,7 +295,7 @@ def test_fits_evaluate_through_the_traced_call_chain(noisy_reference_fit, monkey
     assert len(callers) == report.loss_evals + report.grad_evals + 1
 
 
-def test_a_fit_plan_serves_its_own_sight_lines_only(wf_unit, grid_mid, monkeypatch):
+def test_a_fit_plan_serves_its_own_sight_lines_only(wf_unit, grid_mid):
     # the ring direction kept for one fit's sight lines is never reused by a
     # fit on other sight lines of the same count: that fit matches, bit for
     # bit, the same fit run with nothing kept
@@ -305,10 +305,12 @@ def test_a_fit_plan_serves_its_own_sight_lines_only(wf_unit, grid_mid, monkeypat
     line_sets = [[sightline_from_angles(az, el) for az, el in pair] for pair in
                  (((0.0, 0.5), (1.6, 0.2)), ((3.1, -0.3), (4.7, 0.1)))]
     patterns = [synthesize_pattern(truth, wf_unit, grid_mid, lines, NoiseSpec(0.01, seed=1)) for lines in line_sets]
+    cache = scatterer._ring_direction_of
+    cache.cache_clear()
     first, second = (sequential_fit(p, guess, wf_unit, cfg=cfg) for p in patterns)
-    kept = scatterer._ring_memo[0]
-    assert kept is not None and np.array_equal(kept, [l.vec for l in line_sets[1]])
-    monkeypatch.setattr(scatterer, "_ring_memo", (None, None))
+    # each fit's sight lines got their own direction, computed once and kept
+    assert cache.cache_info().misses == cache.cache_info().currsize == 2
+    cache.cache_clear()
     alone = sequential_fit(patterns[1], guess, wf_unit, cfg=cfg)
     assert alone.theta.tobytes() == second.theta.tobytes()
     assert alone.loss_trace == second.loss_trace
@@ -319,13 +321,13 @@ def test_a_ring_seen_along_its_axis_fails_every_fit_path(grid_mid, noisy_referen
     # scatterer 2 of the reference guess is a slipping ring; aspect 1 looks
     # down the ring axis. Neither a plan built for the fit nor the terms kept
     # for an earlier fit's sight lines hide the error
-    import scatterfit.estimate as estimate
+    import scatterfit.loss as loss
 
     wf, obs, w = noisy_reference_fit
     sequential_fit([obs], reference_guess(), wf, w, DescentConfig(max_iters=1))
     lines = [sightline_from_angles(0.3, 0.2), SightLine(np.array([0.0, 0.0, 1.0]))]
     bad = [Observation(np.zeros(grid_mid.m, dtype=complex), line, grid_mid) for line in lines]
-    plan = estimate._plan(bad)
+    plan = loss._as_batch(bad)
     message = "^scatterer 2: aspect 1: slipping ring azimuth is undefined"
     for data in (bad, plan, plan):
         for evaluate in (batch_loss, batch_gradient):

@@ -212,6 +212,8 @@ def test_weight_validation():
         WeightMatrix("scalar", -2.0)
     with pytest.raises(ValueError):
         WeightMatrix.diagonal(np.array([[1.0, 2.0]]))
+    with pytest.raises(ValueError, match="diagonal weights must be >= 0"):
+        WeightMatrix.diagonal(np.array([1.0, -0.5, 2.0]))
     for kind in ("banded", "dense"):
         with pytest.raises(ValueError):
             WeightMatrix(kind)

@@ -116,13 +116,14 @@ def test_slipping_degenerate_sightline():
         s.position(SightLine(np.array([0.0, 0.0, -1.0])))
 
 
-def test_ring_direction_is_kept_only_for_a_frozen_stack(monkeypatch):
-    # the direction is kept only for a read-only stack that owns its data, as
-    # a fit's plan holds; a line rewritten through any other array is seen on
-    # the next call, and a stack made writeable again is recomputed
+def test_ring_direction_is_kept_by_the_stack_values():
+    # the direction is kept by the values of the line stack, whoever built
+    # the array: a line rewritten through a writeable stack or through a view
+    # is seen on the next call, and a stack made writeable again is recomputed
     import scatterfit.scatterer as scatterer
 
-    monkeypatch.setattr(scatterer, "_ring_memo", (None, None))
+    cache = scatterer._ring_direction_of
+    cache.cache_clear()
     slots = np.array([SlippingRing(1.5, 0.4).params])
     base = np.array([[1.0, 0.0, 0.0], [0.0, 0.6, 0.8]])
     view = base[:]
@@ -133,12 +134,14 @@ def test_ring_direction_is_kept_only_for_a_frozen_stack(monkeypatch):
         after = SlippingRing.positions(slots, lines)
         assert np.array_equal(after, SlippingRing.positions(slots, lines.copy()))
         assert not np.array_equal(after, before)
-        assert scatterer._ring_memo == (None, None)
+    # two line orders were seen, each computed once, whichever array held it
+    assert cache.cache_info().misses == 2
     frozen = base.copy()
     frozen.setflags(write=False)
     kept = SlippingRing.jacobians(slots, frozen)
-    assert scatterer._ring_memo[0] is frozen
+    hits = cache.cache_info().hits
     assert np.array_equal(SlippingRing.jacobians(slots, frozen), kept)
+    assert cache.cache_info().hits == hits + 1
     frozen.setflags(write=True)
     frozen[:] = frozen[::-1].copy()
     assert np.array_equal(SlippingRing.jacobians(slots, frozen), SlippingRing.jacobians(slots, frozen.copy()))

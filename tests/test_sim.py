@@ -5,10 +5,12 @@ import pytest
 
 from scatterfit import (
     DegenerateGeometryError,
+    DescentConfig,
     FixedAmplitude,
     NoiseSpec,
     Observation,
     PointScatteringModel,
+    Position3,
     RangeGrid,
     Scatterer,
     SightLine,
@@ -18,6 +20,7 @@ from scatterfit import (
     batch_loss,
     crlb,
     lfm_from_band,
+    sequential_fit,
     sightline_from_angles,
     sweep_sightlines,
     synthesize_pattern,
@@ -31,7 +34,11 @@ def test_noise_spec_validation():
         NoiseSpec(-0.1)
     with pytest.raises(ValueError):
         NoiseSpec(float("nan"))
+    for seed in (True, -1, 1.5, "3", None):
+        with pytest.raises(ValueError, match="noise seed must be an integer >= 0"):
+            NoiseSpec(0.1, seed)
     assert NoiseSpec(0.0).seed == 0
+    assert NoiseSpec(0.0, np.int64(7)).seed == 7
 
 
 def test_zero_noise_is_exact(wf_unit, grid_mid):
@@ -142,3 +149,21 @@ def test_pattern_sightlines_property(wf_unit, grid_mid):
     pattern = synthesize_pattern(reference_truth(), wf_unit, grid_mid, lines, NoiseSpec(0.0))
     for o, want in zip(pattern.observations, lines, strict=True):
         assert np.array_equal(o.line.vec, want.vec)
+
+
+def test_records_holding_arrays_compare_by_identity(wf_unit, grid_mid):
+    # equal field values would compare arrays elementwise, so these records
+    # compare and hash as objects: a membership test or a set never raises
+    from scatterfit.loss import _as_batch
+
+    line = sightline_from_angles(0.3, 0.2)
+    assert line in [line] and line not in [SightLine(line.vec)]
+    pattern = synthesize_pattern(reference_truth(), wf_unit, grid_mid, [line], NoiseSpec(0.01, seed=1))
+    obs = pattern.observations[0]
+    other_obs = Observation(obs.z, line, grid_mid)
+    assert obs == obs and not obs == other_obs
+    report = sequential_fit(pattern, reference_truth(), wf_unit, cfg=DescentConfig(max_iters=0))
+    bound = crlb(reference_truth(), wf_unit, grid_mid, [line], 0.01)
+    records = [line, Position3(line.vec), obs, pattern, report, bound, _as_batch(pattern)]
+    assert len({*records, *records}) == len(records)
+    assert all(r in records and r == r for r in records)

@@ -137,6 +137,8 @@ def test_validation():
         LfmWaveform(1.0, T, 0.0, 1e12, -FC)
     with pytest.raises(ValueError):
         lfm_from_band(-B, FC)
+    with pytest.raises(ValueError, match="pulse duration must be > 0"):
+        lfm_from_band(B, FC, duration=0.0)
     for bad in (np.nan, np.inf):
         for i in range(5):
             fields = [1.0, T, 0.0, 1e12, FC]
