@@ -475,6 +475,8 @@ def _fit_report_json(report: FitReport, model: PointScatteringModel, strategy: s
         "iterations": report.iterations,
         "loss_evals": report.loss_evals,
         "phase_loss_evals": list(report.phase_loss_evals),
+        "loss_calls": report.loss_calls,
+        "phase_loss_calls": list(report.phase_loss_calls),
         "grad_evals": report.grad_evals,
         "phase_boundary": report.phase_boundary,
         "final_loss": report.final_loss,

@@ -219,14 +219,18 @@ def batch_loss(
     wf: LfmWaveform,
     w: WeightMatrix,
     kind: str = "coherent",
-) -> float:
+    thetas=None,
+) -> float | np.ndarray:
     """Unweighted sum of per-observation losses.
 
     observations is a list of Observations on one range grid, or the stack
-    a fit builds from them once.
+    a fit builds from them once.  thetas, if given, is a (B, P) stack of
+    slot vectors for the model's scatterers, evaluated in one forward pass;
+    the result is then (B,), and entry b is bit-identical to the loss of
+    ``model.unpack(thetas[b])``.
     """
     batch = _checked(observations, w, kind)
-    g = synthesize_profiles(model, wf, batch.grid, batch.lines)
+    g = synthesize_profiles(model, wf, batch.grid, batch.lines, thetas)
     if kind == "coherent":
         return _quad(w, batch.z - g)
     return _quad(w, batch.abs_z - np.abs(g))

@@ -603,6 +603,10 @@ def test_fit_sequential(tmp_path):
     assert report["loss_evals"] > report["grad_evals"]
     assert len(report["phase_loss_evals"]) == 2
     assert sum(report["phase_loss_evals"]) == report["loss_evals"]
+    # forward calls for losses: a stacked call returns several loss values
+    assert report["grad_evals"] < report["loss_calls"] <= report["loss_evals"]
+    assert len(report["phase_loss_calls"]) == 2
+    assert sum(report["phase_loss_calls"]) == report["loss_calls"]
 
     header, rows = read_rows(out / "loss_trace.csv")
     assert header == "iteration,loss,phase"
@@ -628,6 +632,7 @@ def test_fit_coherent_only_phase_column(tmp_path):
     assert report["phase_statuses"] == [report["status"]]
     assert len(report["phase_stop_reasons"]) == 1
     assert report["phase_loss_evals"] == [report["loss_evals"]]
+    assert report["phase_loss_calls"] == [report["loss_calls"]]
     _, rows = read_rows(out / "loss_trace.csv")
     assert all(r[2] == "coherent" for r in rows)
 
@@ -641,7 +646,7 @@ def test_fit_zero_iteration_budget(tmp_path):
     assert report["iterations"] == 0
     assert report["phase_statuses"] == ["max_iters", "max_iters"]
     assert report["theta"] == [0.9, 0.0, 1.1]
-    assert (report["loss_evals"], report["grad_evals"]) == (2, 2)
+    assert (report["loss_evals"], report["loss_calls"], report["grad_evals"]) == (2, 2, 2)
     _, rows = read_rows(out / "loss_trace.csv")
     assert [r[2] for r in rows] == ["noncoherent", "coherent"]
     assert json.loads((out / "resolved_config.json").read_text())["fit"]["descent"]["max_iters"] == 0

@@ -87,6 +87,21 @@ def test_line_search_stalls_on_increase():
     assert loss == 1.0
 
 
+def test_line_search_returns_its_lowest_probe_when_growth_runs_out():
+    # the loss falls all along the ray: the 40 doublings run out before the
+    # loss turns up, and the search returns the lowest step it probed
+    probes = {}
+
+    def f(s):
+        probes[s] = 1.0 / (1.0 + s)
+        return probes[s]
+
+    step, loss, stalled = line_search(f, 1.0, 1.0)
+    assert not stalled
+    assert loss == min(probes.values()) == probes[step]
+    assert step == 2.0**41
+
+
 def test_line_search_handles_bad_initial_step():
     step, _, stalled = line_search(lambda s: (s - 2.0) ** 2, 4.0, initial_step=float("nan"))
     assert not stalled
@@ -226,24 +241,34 @@ def test_sequential_fit_keeps_each_phase_status():
 
 
 def test_fit_report_counts_evaluations(noisy_reference_fit, monkeypatch):
+    # loss_calls counts batch_loss calls; loss_evals counts the loss values
+    # they return, one per row of a stacked call. Four coherent iterations
+    # include two warm searches, whose stencils are stacked calls
     import scatterfit.estimate as estimate
 
     wf, obs, w = noisy_reference_fit
-    cfg = DescentConfig(max_iters=2)
-    calls = {"loss": 0, "grad": 0}
+    cfg = DescentConfig(max_iters=4)
+    calls = {"loss": 0, "rows": 0, "grad": 0}
     for name, key in (("batch_loss", "loss"), ("batch_gradient", "grad")):
         def counted(*args, _fn=getattr(estimate, name), _key=key, **kwargs):
             calls[_key] += 1
+            if _key == "loss":
+                thetas = kwargs.get("thetas")
+                calls["rows"] += 1 if thetas is None else len(thetas)
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(estimate, name, counted)
     report = sequential_fit([obs], reference_guess(), wf, w, cfg)
-    assert report.loss_evals > 0 and report.grad_evals > 0
-    assert (report.loss_evals, report.grad_evals) == (calls["loss"], calls["grad"])
+    assert report.loss_evals > report.loss_calls > 0 and report.grad_evals > 0
+    assert (report.loss_calls, report.loss_evals, report.grad_evals) == (calls["loss"], calls["rows"], calls["grad"])
     rough = gradient_descent([obs], reference_guess(), wf, "noncoherent", w, cfg)
     fine = gradient_descent([obs], rough.model, wf, "coherent", w, cfg)
     assert report.loss_evals == rough.loss_evals + fine.loss_evals
     assert report.phase_loss_evals == (rough.loss_evals, fine.loss_evals)
+    assert report.loss_calls == rough.loss_calls + fine.loss_calls
+    assert report.phase_loss_calls == (rough.loss_calls, fine.loss_calls)
+    # the noncoherent phase makes no stacked call
+    assert rough.loss_calls == rough.loss_evals and fine.loss_calls < fine.loss_evals
     assert report.grad_evals == rough.grad_evals + fine.grad_evals
     # one gradient at the start and one per accepted step, per phase
     assert report.grad_evals == report.iterations + 2
@@ -285,14 +310,15 @@ def test_fits_evaluate_through_the_traced_call_chain(noisy_reference_fit, monkey
 
     monkeypatch.setattr(LfmWaveform, "autocorr", autocorr)
     report = sequential_fit([obs], reference_guess(), wf, w, DescentConfig(max_iters=3))
-    assert (calls["batch_loss"], calls["batch_gradient"]) == (report.loss_evals, report.grad_evals)
-    assert report.loss_evals > report.grad_evals > 0
-    assert len(callers) == report.loss_evals + report.grad_evals
+    assert (calls["batch_loss"], calls["batch_gradient"]) == (report.loss_calls, report.grad_evals)
+    assert report.loss_calls > report.grad_evals > 0
+    assert len(callers) == report.loss_calls + report.grad_evals
     # the residual is formed once, when first read; the noncoherent phase's never is
     assert report.residual is report.residual
     assert set(callers) == {"synthesize_profiles", "profile_jacobians"}
-    # one kernel call per evaluation, plus the residual of the returned report
-    assert len(callers) == report.loss_evals + report.grad_evals + 1
+    # one kernel call per loss or gradient call, a stacked one included, plus
+    # the residual of the returned report
+    assert len(callers) == report.loss_calls + report.grad_evals + 1
 
 
 def test_a_fit_plan_serves_its_own_sight_lines_only(wf_unit, grid_mid):
@@ -343,15 +369,15 @@ def test_a_ring_seen_along_its_axis_fails_every_fit_path(grid_mid, noisy_referen
 def test_line_search_seed_rule(noisy_reference_fit, monkeypatch):
     # the noncoherent phase and the first two coherent searches are seeded at
     # 0.1 * loss / |grad|^2; each later coherent search at the step accepted
-    # two searches earlier
+    # two searches earlier, and is warm: it is given the slope -|grad|^2
     import scatterfit.estimate as estimate
 
     wf, obs, w = noisy_reference_fit
     calls = []
 
-    def recorded(f, f0, initial_step):
-        result = line_search(f, f0, initial_step)
-        calls.append((f0, initial_step, result[0]))
+    def recorded(f, f0, initial_step, slope=None):
+        result = line_search(f, f0, initial_step, slope)
+        calls.append((f0, initial_step, slope, result[0]))
         return result
 
     monkeypatch.setattr(estimate, "line_search", recorded)
@@ -371,13 +397,15 @@ def test_line_search_seed_rule(noisy_reference_fit, monkeypatch):
     # trace index of each search's start point: a phase's trace has one more
     # entry than the phase has searches
     starts = list(range(rough_iters)) + [report.phase_boundary + j for j in range(fine_iters)]
-    for i, ((f0, seed, _), at) in enumerate(zip(calls, starts)):
+    for i, ((f0, seed, slope, _), at) in enumerate(zip(calls, starts)):
         assert f0 == losses[at]
         j = i - rough_iters  # index of a coherent search
         if j < 2:
             assert seed == 0.1 * losses[at] / gnorms[at] ** 2, i
+            assert slope is None, i
         else:
-            assert seed == calls[i - 2][2], i
+            assert seed == calls[i - 2][3], i
+            assert slope == -gnorms[at] ** 2, i
 
 
 def test_noncoherent_descent_keeps_the_paper_seed(noisy_reference_fit, monkeypatch):
@@ -414,6 +442,48 @@ def test_noncoherent_descent_keeps_the_paper_seed(noisy_reference_fit, monkeypat
     assert report.phase_loss_evals == (49,)
 
 
+def test_far_seeded_searches_probe_as_plain_line_search(noisy_reference_fit, monkeypatch):
+    # the noncoherent searches and the first two coherent ones are not warm:
+    # each probes exactly the steps, and returns exactly the result, of plain
+    # line_search run again on the same ray. The later coherent searches are
+    # warm, and their first probe is still the seed
+    import scatterfit.estimate as estimate
+
+    wf, obs, w = noisy_reference_fit
+    searches = []
+
+    def recorded(f, f0, initial_step, slope=None):
+        probes, plain = [], []
+
+        def along(s, into):
+            into.extend(np.atleast_1d(s).tolist())
+            return f(s)
+
+        result = line_search(lambda s: along(s, probes), f0, initial_step, slope)
+        again = line_search(lambda s: along(s, plain), f0, initial_step)
+        searches.append((slope, initial_step, probes, plain, result, again))
+        return result
+
+    monkeypatch.setattr(estimate, "line_search", recorded)
+    rough_iters, fine_iters = 5, 6
+    sequential_fit(
+        [obs],
+        reference_guess(),
+        wf,
+        w,
+        rough_cfg=DescentConfig(max_iters=rough_iters),
+        fine_cfg=DescentConfig(max_iters=fine_iters),
+    )
+    assert len(searches) == rough_iters + fine_iters
+    far, warm = searches[: rough_iters + 2], searches[rough_iters + 2 :]
+    for slope, _, probes, plain, result, again in far:
+        assert slope is None
+        assert probes == plain and result == again
+    for slope, seed, probes, plain, _, _ in warm:
+        assert slope < 0.0
+        assert probes[0] == plain[0] == seed
+
+
 def monte_carlo_shape(seed: int = 0):
     """Scenario 7's shape (one sphere, m = 11, one aspect, sigma2 = 1e-4) and
     the benchmark's far start: waveform, observations, start model, weights."""
@@ -440,6 +510,19 @@ def test_coherent_warm_start_cuts_evaluations():
     report = gradient_descent(obs, init, wf, "coherent", w, MONTE_CARLO_DESCENT)
     assert report.status == "converged"
     assert report.loss_evals / report.iterations < (23.5 + 9.9) / 2.0
+
+
+def test_warm_searches_stack_their_stencils():
+    # the same fit, counted: 189 iterations, 620 batch_loss calls (3.28 an
+    # iteration) returning 1388 loss values (7.34 an iteration). Every search
+    # but the first two is warm; each warm stencil is one stacked call of
+    # three rows. Every search seeded at the step before last, as before
+    # stencils, took 195 iterations and 1991 single calls (10.2 an iteration)
+    wf, obs, init, w = monte_carlo_shape()
+    report = gradient_descent(obs, init, wf, "coherent", w, MONTE_CARLO_DESCENT)
+    assert report.phase_stop_reasons == ("grad_norm",)
+    assert (report.iterations, report.loss_calls, report.loss_evals) == (189, 620, 1388)
+    assert report.phase_loss_calls == (620,) and report.phase_loss_evals == (1388,)
 
 
 def test_each_phase_names_the_rule_that_ended_it(monkeypatch):

@@ -2,13 +2,14 @@
 
 import dataclasses
 import json
+import math
 import re
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import scatterfit
 import scatterfit.estimate as estimate
@@ -322,6 +323,13 @@ def test_theta_stack_rows_equal_single_models(wf_unit, problem):
             assert np.all(np.abs(cg[row] - coherent_loss_gradient(zz, gg, jj, w)) <= 1e-12 * size)
             size = _gradient_scale(jj, w.apply(np.abs(gg) - np.abs(zz)))
             assert np.all(np.abs(ncg[row] - noncoherent_loss_gradient(zz, gg, jj, w, clamp)) <= 1e-12 * size)
+    # batch_loss on a stack: one (B,) call whose rows are the single calls, bit for bit
+    obs = [Observation(zk, line, grid) for zk, line in zip(z, lines)]
+    for kind in ("coherent", "noncoherent"):
+        losses = batch_loss(obs, model, wf_unit, w, kind, thetas=thetas)
+        assert losses.shape == (b,)
+        for row, theta in enumerate(thetas):
+            assert losses[row] == batch_loss(obs, model.unpack(theta), wf_unit, w, kind)
 
 
 @st.composite
@@ -501,6 +509,69 @@ def test_line_search_survives_a_non_finite_tail(ray, factor, cut, bad):
     assert abs(step - a) <= _SECTION_TOL * a
     assert _bracket_width(steps, a) <= _SECTION_TOL * step
     assert min(steps) > 0.0
+
+
+@st.composite
+def warm_rays(draw, lo=0.25, hi=4.0):
+    """(loss, slope, s): a quadratic with its minimum anywhere in (lo*s, hi*s)
+    plus a small cosine ripple, the exact slope at step 0, and the seed s."""
+    s = draw(_log_uniform(-3, 3))
+    a = s * draw(st.floats(lo, hi, exclude_min=True, exclude_max=True))
+    c = draw(_real(0.5, 10.0))
+    # the ripple's curvature stays below half the quadratic's: each ray has one minimum
+    amp = draw(_real(0.0, 1e-3)) * c * a * a
+    k = 2.0 * math.pi * draw(_real(0.5, 3.0)) / a
+    phase = draw(_real(0.0, 2.0 * math.pi))
+
+    def loss(t):
+        return c * (t - a) ** 2 + amp * math.cos(k * t + phase)
+
+    return loss, -2.0 * c * a - amp * k * math.sin(phase), s
+
+
+def _warm_probes(loss, slope, s):
+    """Warm line_search on a scalar loss, answering stacked calls row by row.
+    Returns its result and every (step, loss) it probed, in order."""
+    probes = []
+
+    def f(steps):
+        values = [loss(float(t)) for t in np.atleast_1d(steps)]
+        probes.extend(zip(np.atleast_1d(steps).tolist(), values))
+        return values[0] if np.ndim(steps) == 0 else np.array(values)
+
+    return line_search(f, loss(0.0), s, slope), probes
+
+
+@LINE_SEARCH
+@given(warm_rays())
+def test_warm_line_search_certifies_its_step(ray):
+    loss, slope, s = ray
+    (step, value, stalled), probes = _warm_probes(loss, slope, s)
+    assert not stalled
+    assert value == loss(step)
+    assert value < loss(0.0)
+    steps = [t for t, _ in probes]
+    assert min(steps) > 0.0
+    assert len(steps) == len(set(steps))  # no step is evaluated twice
+    # the nearest probes either side that are not lower, step 0 included, are
+    # no more than tol * step apart (up to one rounding of each stencil end)
+    known = [(0.0, loss(0.0))] + probes
+    below = max(t for t, v in known if t < step and v >= value)
+    above = min(t for t, v in known if t > step and v >= value)
+    assert above - below <= _SECTION_TOL * step * (1.0 + 1e-10)
+
+
+@LINE_SEARCH
+@given(warm_rays(hi=0.5))
+def test_warm_line_search_without_a_first_decrease_is_plain(ray):
+    # a seed that does not decrease the loss leaves the warm search the plain
+    # one's probes, step for step
+    loss, slope, s = ray
+    assume(loss(s) >= loss(0.0))
+    warm, probes = _warm_probes(loss, slope, s)
+    plain, plain_probes = _search(loss, s)
+    assert warm == plain
+    assert [t for t, _ in probes] == plain_probes
 
 
 @LINE_SEARCH
