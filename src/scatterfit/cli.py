@@ -486,7 +486,7 @@ def _fit_report_json(report: FitReport, model: PointScatteringModel, strategy: s
             10.0 * math.log10(max(float(report.residual_power.mean()), 1e-30))
         ),
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
 def cmd_fit(cfg, out_dir: str, quiet: bool) -> int:

@@ -6,9 +6,11 @@ wider than 1e-4 times the step).  A coherent search seeded at the step
 accepted two iterations back starts near its minimum: it steps to the
 minimum of a quadratic model and certifies it with a three-point stencil
 1e-4 times the step wide, evaluated as one theta stack, and falls back to
-the bracket when that fails.  The workhorse strategy is
-sequential: minimize the noncoherent loss first to land inside the coherent
-capture zone, then refine on the coherent loss.
+the bracket when that fails.  A search seeded far from its minimum gets the
+bracket steps it may ask for, twice the seed and its halvings, from one
+theta stack.  The workhorse strategy is sequential: minimize the
+noncoherent loss first to land inside the coherent capture zone, then
+refine on the coherent loss.
 
 Fisher information for white circular Gaussian noise, R = sigma^2 I, is
 J = (2 / sigma^2) Re{G^H G}; the parameter covariance of any unbiased
@@ -37,10 +39,22 @@ _MAX_BRACKET_STEPS = 40
 _SECTION_TOL = 1e-4
 # warm line search: stencils tried before it falls back to the bracket
 _WARM_ROUNDS = 8
+# far-seeded line search: halvings of the seed evaluated with it (and twice it)
+# in one stacked call.  Measured on a 2-vCPU Xeon over 48 single-profile fits
+# each: 44.2, 44.4 and 44.8 ms median at 6, 7 and 8 (49.0 ms with no ladder),
+# with 543, 538 and 538 batch_loss calls a fit; 7 covers the median overshoot
+# of the paper seed, 2^4.2, with room, and a 9-row stack costs 2.1 single calls
+_LADDER_RUNGS = 7
 # lags (scatterers x aspects x bins) of one slot vector up to which a stack of
 # three runs as one forward pass; above it, row by row is faster.  Measured on
 # a 2-vCPU Xeon: a 3-row stack takes x0.42 the time of its rows at 123 lags,
-# x0.72 at 1722, x0.76-1.07 at 1968 and x1.39 at 7872 (the static pattern)
+# x0.72 at 1722, x0.76-1.07 at 1968 and x1.39 at 7872 (the static pattern).
+# That x1.39 is minor page faults, not arithmetic: in a fresh process glibc
+# hands the stack's temporaries back to the system after each call, so a
+# 3-row static call takes 277 faults and 1056-1442 us against 781-1387 us for
+# its rows (0 faults).  With heap trimming and mmap off it takes 0 faults and
+# 707-1068 us against 769-1238 us, and inside the benchmark cycle fits stop
+# faulting once a sweep has raised glibc's thresholds
 _STACK_LAGS = 1800
 
 
@@ -75,8 +89,10 @@ class FitReport:
     loss_trace: tuple[tuple[int, float], ...]
     grad_norm_trace: tuple[float, ...]
     iterations: int
-    loss_evals: int  # loss values computed, line searches included; each row of a stacked call counts
-    loss_calls: int  # batch_loss calls, stacked or single
+    # loss values computed, line searches included; each row of a stacked call
+    # counts, so do the ladder rungs a far-seeded search never asks for
+    loss_evals: int
+    loss_calls: int  # batch_loss calls, stacked (stencils and ladders) or single
     grad_evals: int  # batch_gradient calls
     phase_statuses: tuple[str, ...]  # one status per phase, in phase order
     phase_loss_evals: tuple[int, ...]  # loss values per phase, in phase order
@@ -212,6 +228,37 @@ def _recalling(f, known: dict):
     return recalled
 
 
+def _laddered(f):
+    """f, for a far-seeded line_search, answering its bracket ladder from stacked calls.
+
+    f takes a step or a 1-D array of steps, as a warm search's does.  The
+    first step asked for is the seed s; it is evaluated with 2s and the
+    halvings s/2, ..., s/2^_LADDER_RUNGS in one call f(steps).  Asking for
+    the halving past the last rung evaluates the next _LADDER_RUNGS halvings
+    in one more call.  The rungs are formed by the doublings and halvings
+    line_search takes, so each is the very float it asks for; every other
+    step is evaluated alone.
+    """
+    known = {}
+    lowest = None
+
+    def fetch(step: float) -> float:
+        nonlocal lowest
+        if lowest is None:
+            rungs, count = [step * _BRACKET_GROWTH, step], _LADDER_RUNGS + 2
+        elif step == lowest / _BRACKET_GROWTH:
+            rungs, count = [step], _LADDER_RUNGS
+        else:
+            return f(step)
+        while len(rungs) < count:
+            rungs.append(rungs[-1] / _BRACKET_GROWTH)
+        lowest = rungs[-1]
+        known.update(zip(rungs, f(np.array(rungs))))
+        return known[step]
+
+    return _recalling(fetch, known)
+
+
 def line_search(f, f0: float, initial_step: float = 1.0, slope: float | None = None) -> tuple[float, float, bool]:
     """Exact 1-D minimization of a loss f(step) along a ray, given f0 = f(0).
 
@@ -287,13 +334,19 @@ def gradient_descent(
     steps as one stacked batch_loss call (row by row above _STACK_LAGS lags
     a row, where that is faster; the losses are the same bits either way).
     The noncoherent loss keeps the far seed and the plain search, whose
-    golden-section probes can reach a deeper basin along the ray.
+    golden-section probes can reach a deeper basin along the ray.  A
+    far-seeded search in a fit that stacks asks for the same steps, but
+    its bracket ladder (2s, the seed s and its halvings down to
+    s/2^_LADDER_RUNGS) is evaluated as one stacked call, and the next
+    _LADDER_RUNGS halvings in one more if it shrinks past the last; the
+    rungs it never asks for still count in loss_evals.
     Stops on a relative gradient-norm drop ("grad_norm"), on a flat loss
     window ("loss_window"), both status "converged", on a search that finds
     no decrease ("stalled"), or at max_iters; phase_stop_reasons names the
     rule.  The observations are stacked once into the fit's evaluation plan,
     which every batch_loss and batch_gradient call reads.  loss_calls counts
-    the batch_loss calls, loss_evals the loss values they return.
+    the batch_loss calls, loss_evals the loss values they return.  Raises
+    ValueError when the loss or the gradient norm at the start is not finite.
     """
     obs = _as_batch(data)  # every loss and gradient call of the fit reads this plan
     w = w or WeightMatrix.identity()
@@ -326,6 +379,8 @@ def gradient_descent(
     current = loss_at(theta)
     grad = grad_at(theta)
     gnorm = float(np.linalg.norm(grad))
+    if not (math.isfinite(current) and math.isfinite(gnorm)):
+        raise ValueError(f"the {kind} loss is not finite at the start point (loss {current}, gradient norm {gnorm})")
     gnorm0 = gnorm
     losses = [current]
     gnorms = [gnorm]
@@ -339,7 +394,8 @@ def gradient_descent(
         if kind == "coherent" and len(steps) >= 2:
             eta, stepped_loss, stalled = line_search(along, current, steps[-2], -gnorm**2)
         else:
-            eta, stepped_loss, stalled = line_search(along, current, 0.1 * current / gnorm**2)
+            far = _laddered(along) if stacked else along
+            eta, stepped_loss, stalled = line_search(far, current, 0.1 * current / gnorm**2)
         if stalled:
             reason = "stalled"
             break

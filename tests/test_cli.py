@@ -1,6 +1,8 @@
 """End-to-end CLI behavior: configs, outputs, exit codes."""
 
+import dataclasses
 import json
+import math
 import os
 import re
 import subprocess
@@ -21,6 +23,7 @@ from scatterfit import (
     noncoherent_loss,
     noncoherent_loss_gradient,
     profile_jacobians,
+    sequential_fit,
     synthesize_pattern,
 )
 from scatterfit.cli import ConfigError, main, parse_sweep_range, resolve_config
@@ -650,6 +653,30 @@ def test_fit_zero_iteration_budget(tmp_path):
     _, rows = read_rows(out / "loss_trace.csv")
     assert [r[2] for r in rows] == ["noncoherent", "coherent"]
     assert json.loads((out / "resolved_config.json").read_text())["fit"]["descent"]["max_iters"] == 0
+
+
+def test_fit_from_a_non_finite_start_is_an_evaluation_error(tmp_path, capsys):
+    # an initial model whose loss overflows fits nothing: exit 3, no report
+    block = fit_block()
+    block["initial_model"][0]["amplitude"]["s_re"] = 1e200
+    cfg = write_config(tmp_path, base_config(sigma2=0.0001, fit=block))
+    out = tmp_path / "out"
+    with np.errstate(all="ignore"):
+        assert main(["fit", "--config", cfg, "--out", str(out), "--quiet"]) == 3
+    assert "the noncoherent loss is not finite at the start point" in capsys.readouterr().err
+    assert not (out / "fit_report.json").exists()
+
+
+def test_fit_report_refuses_non_finite_numbers(tmp_path):
+    # fit_report.json is strict JSON: a non-finite number is an error, never
+    # Infinity or NaN in the file
+    cfg = cli.resolve_config(base_config(sigma2=0.0001, fit=fit_block(max_iters=0)), need_fit=True)
+    pattern, _, _, wf = cli._synthesize(cfg, cli.build_model(cfg["scatterers"]))
+    report = sequential_fit(pattern, cli.build_model(cfg["fit"]["initial_model"]), wf)
+    json.loads(cli._fit_report_json(report, report.model, "sequential"))
+    broken = dataclasses.replace(report, loss_trace=((0, math.inf),))
+    with pytest.raises(ValueError, match="JSON"):
+        cli._fit_report_json(broken, report.model, "sequential")
 
 
 def test_fit_requires_fit_block(tmp_path, capsys):

@@ -267,8 +267,9 @@ def test_fit_report_counts_evaluations(noisy_reference_fit, monkeypatch):
     assert report.phase_loss_evals == (rough.loss_evals, fine.loss_evals)
     assert report.loss_calls == rough.loss_calls + fine.loss_calls
     assert report.phase_loss_calls == (rough.loss_calls, fine.loss_calls)
-    # the noncoherent phase makes no stacked call
-    assert rough.loss_calls == rough.loss_evals and fine.loss_calls < fine.loss_evals
+    # both phases make stacked calls: the far-seeded searches' bracket ladders
+    # and the warm searches' stencils
+    assert rough.loss_calls < rough.loss_evals and fine.loss_calls < fine.loss_evals
     assert report.grad_evals == rough.grad_evals + fine.grad_evals
     # one gradient at the start and one per accepted step, per phase
     assert report.grad_evals == report.iterations + 2
@@ -438,8 +439,10 @@ def test_noncoherent_descent_keeps_the_paper_seed(noisy_reference_fit, monkeypat
     np.testing.assert_allclose(report.theta, theta, rtol=1e-6, atol=1e-12)
     losses_at = [192.770183836, 116.24939202, 115.959296352, 56.7111336988, 55.3476616144]
     np.testing.assert_allclose(losses, losses_at, rtol=1e-7)
-    assert report.loss_evals == 49
-    assert report.phase_loss_evals == (49,)
+    # the start and the 48 steps the searches ask for, plus 25 ladder rungs
+    # they never ask for: 74 loss values in 42 calls
+    assert (report.loss_calls, report.loss_evals) == (42, 74)
+    assert report.phase_loss_evals == (74,)
 
 
 def test_far_seeded_searches_probe_as_plain_line_search(noisy_reference_fit, monkeypatch):
@@ -513,16 +516,61 @@ def test_coherent_warm_start_cuts_evaluations():
 
 
 def test_warm_searches_stack_their_stencils():
-    # the same fit, counted: 189 iterations, 620 batch_loss calls (3.28 an
-    # iteration) returning 1388 loss values (7.34 an iteration). Every search
+    # the same fit, counted: 189 iterations, 618 batch_loss calls (3.27 an
+    # iteration) returning 1402 loss values (7.42 an iteration). Every search
     # but the first two is warm; each warm stencil is one stacked call of
-    # three rows. Every search seeded at the step before last, as before
-    # stencils, took 195 iterations and 1991 single calls (10.2 an iteration)
+    # three rows, and the first two searches take their bracket ladders as
+    # stacked calls of nine rows. Every search seeded at the step before last,
+    # as before stencils, took 195 iterations and 1991 single calls (10.2 an
+    # iteration)
     wf, obs, init, w = monte_carlo_shape()
     report = gradient_descent(obs, init, wf, "coherent", w, MONTE_CARLO_DESCENT)
     assert report.phase_stop_reasons == ("grad_norm",)
-    assert (report.iterations, report.loss_calls, report.loss_evals) == (189, 620, 1388)
-    assert report.phase_loss_calls == (620,) and report.phase_loss_evals == (1388,)
+    assert (report.iterations, report.loss_calls, report.loss_evals) == (189, 618, 1402)
+    assert report.phase_loss_calls == (618,) and report.phase_loss_evals == (1402,)
+
+
+def test_bracket_ladders_change_no_result(noisy_reference_fit, monkeypatch):
+    # a far-seeded search answered from its stacked bracket ladder asks for the
+    # same steps and gets the same bits as one that evaluates them alone: each
+    # fit is the same, in fewer batch_loss calls and more loss values
+    import scatterfit.estimate as estimate
+
+    wf, obs, w = noisy_reference_fit
+    mc_wf, mc_obs, mc_init, mc_w = monte_carlo_shape()
+    fits = (
+        lambda: sequential_fit([obs], reference_guess(), wf, w),
+        lambda: gradient_descent(mc_obs, mc_init, mc_wf, "coherent", mc_w, MONTE_CARLO_DESCENT),
+    )
+    for fit in fits:
+        laddered = fit()
+        with monkeypatch.context() as patch:
+            patch.setattr(estimate, "_laddered", lambda f: f)
+            plain = fit()
+        assert laddered.theta.tobytes() == plain.theta.tobytes()
+        assert laddered.loss_trace == plain.loss_trace
+        assert laddered.grad_norm_trace == plain.grad_norm_trace
+        assert laddered.phase_statuses == plain.phase_statuses
+        assert laddered.phase_stop_reasons == plain.phase_stop_reasons
+        assert laddered.iterations == plain.iterations
+        assert laddered.loss_calls < plain.loss_calls
+        assert laddered.loss_evals > plain.loss_evals
+
+
+@pytest.mark.parametrize("bad", [1e200, math.nan])
+def test_a_non_finite_start_is_an_error(noisy_reference_fit, bad):
+    # a start whose loss overflows (or is nan) cannot be descended from; it is
+    # an error naming the loss, not a fit that stalls at once
+    wf, obs, w = noisy_reference_fit
+    theta = reference_guess().pack()
+    theta[0] = bad
+    start = reference_guess().unpack(theta)
+    with np.errstate(all="ignore"):
+        for kind in ("noncoherent", "coherent"):
+            with pytest.raises(ValueError, match=f"^the {kind} loss is not finite at the start point"):
+                gradient_descent([obs], start, wf, kind, w)
+        with pytest.raises(ValueError, match="^the noncoherent loss is not finite"):
+            sequential_fit([obs], start, wf, w)
 
 
 def test_each_phase_names_the_rule_that_ended_it(monkeypatch):

@@ -241,7 +241,8 @@ def ring_problems(draw):
 def test_a_fit_plan_serves_bit_identical_losses_and_gradients(wf_unit, problem, kind):
     # every loss and gradient a fit evaluates through its plan (stacked once,
     # with |z|, the bins and the ring direction kept) is bit for bit the call
-    # on a freshly listed set of observations
+    # on a freshly listed set of observations; so is each row of a stacked loss
+    # call, as the call on that row's model
     model, lines, grid, w, seed = problem
     rng = np.random.default_rng(seed)
     obs = [Observation(_noisy(rng, synthesize_profiles(model, wf_unit, grid, line)[0]), line, grid) for line in lines]
@@ -249,9 +250,13 @@ def test_a_fit_plan_serves_bit_identical_losses_and_gradients(wf_unit, problem, 
     served = []
 
     def recorder(fn):
-        def recorded(data, model, *args):
-            value = fn(data, model, *args)
-            served.append((fn, data, model, value))
+        def recorded(data, model, *args, **kwargs):
+            value = fn(data, model, *args, **kwargs)
+            thetas = kwargs.get("thetas")
+            if thetas is None:
+                served.append((fn, data, model, value))
+            else:
+                served.extend((fn, data, model.unpack(row), v) for row, v in zip(thetas, value))
             return value
         return recorded
 
@@ -572,6 +577,57 @@ def test_warm_line_search_without_a_first_decrease_is_plain(ray):
     plain, plain_probes = _search(loss, s)
     assert warm == plain
     assert [t for t, _ in probes] == plain_probes
+
+
+@st.composite
+def far_rays(draw):
+    """(loss, seed): a loss along a ray and a seed up to 1e9 times too long.
+    The loss is a quadratic plus a cosine ripple, one still falling when the
+    bracket's growth runs out, one never below its value at step 0, or a
+    quadratic that is inf or nan on a band of steps."""
+    a = draw(_log_uniform(-3, 3))
+    seed = a * draw(initial_factors)
+    c = draw(_real(0.5, 10.0))
+    kind = draw(st.sampled_from(("ripple", "falling", "flat", "non-finite")))
+    if kind == "ripple":
+        amp = draw(_real(0.0, 0.5)) * c * a * a
+        k = 2.0 * math.pi * draw(_real(0.5, 20.0)) / a
+        phase = draw(_real(0.0, 2.0 * math.pi))
+        return (lambda t: c * (t - a) ** 2 + amp * math.cos(k * t + phase)), seed
+    if kind == "falling":
+        return (lambda t: -c * t / a), seed
+    if kind == "flat":
+        return (lambda t: c * t / a), seed
+    lo = a * draw(_log_uniform(-3, 3))
+    hi = lo * draw(_real(1.0, 16.0))
+    bad = draw(st.sampled_from((np.inf, np.nan)))
+    return (lambda t: bad if lo <= t <= hi else c * (t - a) ** 2), seed
+
+
+@LINE_SEARCH
+@given(far_rays())
+def test_a_far_search_answered_from_its_ladder_is_the_plain_search(ray):
+    # the bracket ladder evaluates steps ahead in stacked calls; line_search
+    # asks for the same steps, gets the same losses and returns the same
+    # result as when each step is evaluated alone, in no more calls
+    loss, seed = ray
+    calls, asked = [], []
+
+    def stacked(steps):
+        calls.append(steps)
+        return np.array([loss(float(t)) for t in steps]) if np.ndim(steps) else loss(steps)
+
+    laddered = estimate._laddered(stacked)
+
+    def probe(s):
+        asked.append(s)
+        return laddered(s)
+
+    result = line_search(probe, loss(0.0), seed)
+    plain, plain_steps = _search(loss, seed)
+    assert result == plain
+    assert asked == plain_steps
+    assert len(calls) <= len(asked)
 
 
 @LINE_SEARCH
