@@ -45,17 +45,12 @@ _WARM_ROUNDS = 8
 # with 543, 538 and 538 batch_loss calls a fit; 7 covers the median overshoot
 # of the paper seed, 2^4.2, with room, and a 9-row stack costs 2.1 single calls
 _LADDER_RUNGS = 7
-# lags (scatterers x aspects x bins) of one slot vector up to which a stack of
-# three runs as one forward pass; above it, row by row is faster.  Measured on
-# a 2-vCPU Xeon: a 3-row stack takes x0.42 the time of its rows at 123 lags,
-# x0.72 at 1722, x0.76-1.07 at 1968 and x1.39 at 7872 (the static pattern).
-# That x1.39 is minor page faults, not arithmetic: in a fresh process glibc
-# hands the stack's temporaries back to the system after each call, so a
-# 3-row static call takes 277 faults and 1056-1442 us against 781-1387 us for
-# its rows (0 faults).  With heap trimming and mmap off it takes 0 faults and
-# 707-1068 us against 769-1238 us, and inside the benchmark cycle fits stop
-# faulting once a sweep has raised glibc's thresholds
-_STACK_LAGS = 1800
+# lags (scatterers x aspects x bins) of one slot vector up to which a far-seeded
+# search takes its bracket ladder as one stacked call.  Above it the 9-row
+# ladder is arithmetic, not call overhead: on the static pattern (7872 lags,
+# 2-vCPU Xeon) it raised the time of a 20+20-iteration fit x1.43-1.60, while
+# stacking the warm searches' 3-row stencils there left it as it was
+_LADDER_LAGS = 1800
 
 
 @dataclass(frozen=True)
@@ -92,7 +87,7 @@ class FitReport:
     # loss values computed, line searches included; each row of a stacked call
     # counts, so do the ladder rungs a far-seeded search never asks for
     loss_evals: int
-    loss_calls: int  # batch_loss calls, stacked (stencils and ladders) or single
+    loss_calls: int  # batch_loss calls, stacked (stencils, and ladders up to _LADDER_LAGS lags) or single
     grad_evals: int  # batch_gradient calls
     phase_statuses: tuple[str, ...]  # one status per phase, in phase order
     phase_loss_evals: tuple[int, ...]  # loss values per phase, in phase order
@@ -331,12 +326,11 @@ def gradient_descent(
     step accepted two iterations back: steepest descent with exact steps
     zig-zags, so its step lengths alternate.  Those searches are warm: they
     get the slope -|grad|^2 at step 0 and evaluate each stencil of three
-    steps as one stacked batch_loss call (row by row above _STACK_LAGS lags
-    a row, where that is faster; the losses are the same bits either way).
+    steps as one stacked batch_loss call, at any size.
     The noncoherent loss keeps the far seed and the plain search, whose
     golden-section probes can reach a deeper basin along the ray.  A
-    far-seeded search in a fit that stacks asks for the same steps, but
-    its bracket ladder (2s, the seed s and its halvings down to
+    far-seeded search asks for the same steps; up to _LADDER_LAGS lags a
+    row, its bracket ladder (2s, the seed s and its halvings down to
     s/2^_LADDER_RUNGS) is evaluated as one stacked call, and the next
     _LADDER_RUNGS halvings in one more if it shrinks past the last; the
     rungs it never asks for still count in loss_evals.
@@ -352,14 +346,11 @@ def gradient_descent(
     w = w or WeightMatrix.identity()
     theta = model0.pack()
     loss_evals = loss_calls = grad_evals = 0
-    stacked = len(model0.scatterers) * obs.z.size <= _STACK_LAGS
+    ladder = len(model0.scatterers) * obs.z.size <= _LADDER_LAGS
 
     def loss_at(th: np.ndarray) -> float | np.ndarray:
-        """The loss at one slot vector, or the (B,) losses of a (B, P) stack:
-        in one call up to _STACK_LAGS lags a row, else row by row."""
+        """The loss at one slot vector, or the (B,) losses of a (B, P) stack in one call."""
         nonlocal loss_evals, loss_calls
-        if th.ndim == 2 and not stacked:
-            return np.array([loss_at(row) for row in th])
         loss_calls += 1
         if th.ndim == 1:
             loss_evals += 1
@@ -394,7 +385,7 @@ def gradient_descent(
         if kind == "coherent" and len(steps) >= 2:
             eta, stepped_loss, stalled = line_search(along, current, steps[-2], -gnorm**2)
         else:
-            far = _laddered(along) if stacked else along
+            far = _laddered(along) if ladder else along
             eta, stepped_loss, stalled = line_search(far, current, 0.1 * current / gnorm**2)
         if stalled:
             reason = "stalled"

@@ -24,14 +24,15 @@ slot rows of all its scatterers in one call, the kernel runs once on the
 amplitude and position blocks of Jacobian columns are written, one product
 each, into a slot-major (P, K, m) array, whose (K, m, P) view is returned.
 
-The same pass evaluates a stack of B slot vectors (B, P) for one layout.
-Each position type's slot rows are folded to (B*n, n_slots), so the
-primitives run once per type for the whole stack, and the arrays above gain
-a leading stack axis: (B, N, K, m) lags and a (B, P, K, m) Jacobian.  Each
-row of them is laid out as the arrays of a pass over that row alone, so
-every product and sum runs in the same order, and the profiles (B, K, m)
-and Jacobians (B, K, m, P) are bit-identical, row by row, to B separate
-passes.
+The same pass evaluates a stack of B slot vectors (B, P) for one layout:
+it reads its batch shape from theta, so the model's own (P,) vector and a
+stack take one code path.  Each position type's slot rows are folded to
+(B*n, n_slots), so the primitives run once per type for the whole stack,
+and the arrays above gain a leading stack axis: (B, N, K, m) lags and a
+(B, P, K, m) Jacobian.  Each row of them is laid out as the arrays of a
+pass over that row alone, so every product and sum runs in the same order,
+and the profiles (B, K, m) and Jacobians (B, K, m, P) are bit-identical,
+row by row, to B separate passes.
 
 All sight lines share one range grid.  What stays fixed through a fit is
 not rebuilt per call.  A (K, 3) float line stack passes through
@@ -207,7 +208,10 @@ except ImportError:  # pragma: no cover - other numpy layouts
 def _as_line_stack(lines) -> np.ndarray:
     """Sight lines as a (K, 3) array: one SightLine, a list or tuple of them, or vectors.
 
-    A (K, 3) float array is passed through as is.
+    A (K, 3) float array is passed through as is.  Raw vectors must be unit
+    vectors and are used as given, neither checked nor normalized (a
+    SightLine checks its own): a row of length 2 doubles every projected
+    range, and a nan row gives nan profiles.
     """
     if type(lines) is np.ndarray and lines.dtype is _FLOAT and lines.ndim == 2 and lines.shape[1] == 3:
         return lines
@@ -231,37 +235,11 @@ def _theta_stack(model: PointScatteringModel, thetas) -> np.ndarray:
     return stack
 
 
-def _group_slots(groups, theta: np.ndarray) -> list[np.ndarray]:
-    """Each position group's slot rows: (n, n_slots) from one theta (P,), or from a
-    stack (B, P) the (B*n, n_slots) rows of its B copies, stack-major."""
-    if theta.ndim == 1:
-        return [theta[cols] for _, _, cols, _ in groups]
-    return [theta.take(cols, axis=1).reshape(-1, cols.shape[1]) for _, _, cols, _ in groups]
-
-
-def _unfold(values: np.ndarray, b: int) -> np.ndarray:
-    """A primitive's result over the (B*n, n_slots) rows of a stack of b slot
-    vectors, with the stack axis split out: (B*n, ...) -> (B, n, ...), and a
-    broadcast (1, ...) -> (1, 1, ...)."""
-    return values.reshape((b if len(values) > 1 else 1, -1) + values.shape[1:])
-
-
-def _projected_ranges(layout: _Layout, slots: list[np.ndarray], lines: np.ndarray, stack: int | None) -> np.ndarray:
-    """p.l for every scatterer and sight line, (N, K) or, for a stack of that
-    many slot vectors, (B, N, K), with the scatterer named on error.  slots
-    holds each position group's slot rows."""
-    n = len(layout.prototypes)
-    pl = np.empty((n, lines.shape[0]) if stack is None else (stack, n, lines.shape[0]))
-    for (kind, rows, _, _), group_slots in zip(layout.positions, slots):
-        try:
-            pos = kind.positions(group_slots, lines)
-        except DegenerateGeometryError as err:
-            raise DegenerateGeometryError(f"scatterer {np.arange(n)[rows][0]}: {err}") from None
-        if stack is None:
-            pl[rows] = _einsum("nkj,kj->nk", pos, lines)
-        else:
-            pl[:, rows] = _unfold(_einsum("nkj,kj->nk", pos, lines), stack)
-    return pl
+def _unfold(values: np.ndarray, lead: tuple[int, ...]) -> np.ndarray:
+    """A primitive's result over the slot rows of theta, with theta's batch axes
+    lead split out: (B*n, ...) -> (B, n, ...), and a broadcast (1, ...) ->
+    (1, 1, ...); with no batch axes it is returned as is."""
+    return values.reshape((lead if len(values) > 1 else (1,) * len(lead)) + (-1,) + values.shape[1:])
 
 
 def _per_row(values: np.ndarray, n: int):
@@ -277,29 +255,30 @@ def _forward(model: PointScatteringModel, wf: LfmWaveform, bins: np.ndarray, lin
     scatterers.  The Jacobian lives in a slot-major (P, K, m) array: each
     scatterer's two amplitude slots, then its position slots, are each one
     block of rows written by one product, and the (K, m, P) view of that
-    array is returned.  With a (B, P) stack thetas, each array gains a
-    leading stack axis, (B, N, K, m) and (B, P, K, m), so each row is laid
-    out as the arrays of a pass over that row alone; the results are
-    (B, K, m) and (B, K, m, P).
+    array is returned.
 
-    One slot vector runs without the stack axis rather than as a one-row
-    stack, indexing theta[cols] directly: folding and unfolding a stack adds
-    a few microseconds a call, 5-10% of a forward pass at the single-profile
-    size.
+    theta is the model's own (P,) vector or the (B, P) stack thetas, and its
+    leading axes, () or (B,), lead every array of the pass: (B, N, K, m) lags
+    and a (B, P, K, m) Jacobian for a stack, each row laid out as the arrays
+    of a pass over that row alone; the results are then (B, K, m) and
+    (B, K, m, P).
     """
     layout = model._layout
-    if thetas is None:
-        # stack is the stack size (None for one slot vector); at indexes the stack
-        # axis; slots_first and last are the primitive-result and Jacobian
-        # transposes: (n, K, n_slots) -> (n, n_slots, K), (P, K, m) -> (K, m, P)
-        theta, stack, at, slots_first, last = model._theta, None, (), (0, 2, 1), (1, 2, 0)
-    else:
-        theta = _theta_stack(model, thetas)
-        stack, at, slots_first, last = len(theta), (slice(None),), (1, 0, 3, 2), (0, 2, 3, 1)
+    theta = model._theta if thetas is None else _theta_stack(model, thetas)
+    lead = theta.shape[:-1]
+    at = (slice(None),) * len(lead)  # indexes the batch axes
     lmat = _as_line_stack(lines)
-    pos_slots = _group_slots(layout.positions, theta)
-    pl = _projected_ranges(layout, pos_slots, lmat, stack)
-    amp = theta[..., layout.amplitude_cols]  # (N, 2), or (B, N, 2) for a stack
+    # each position group's slot rows, stack-major: (B*n, n_slots) for a stack
+    pos_slots = [theta[at + (cols,)].reshape(-1, cols.shape[1]) for _, _, cols, _ in layout.positions]
+    n = len(layout.prototypes)
+    pl = np.empty(lead + (n, lmat.shape[0]))  # p.l for every scatterer and sight line
+    for (kind, rows, _, _), slots in zip(layout.positions, pos_slots):
+        try:
+            pos = kind.positions(slots, lmat)
+        except DegenerateGeometryError as err:
+            raise DegenerateGeometryError(f"scatterer {np.arange(n)[rows][0]}: {err}") from None
+        pl[at + (rows,)] = _unfold(_einsum("nkj,kj->nk", pos, lmat), lead)
+    amp = theta[at + (layout.amplitude_cols,)]  # (N, 2), or (B, N, 2) for a stack
     a = np.empty(pl.shape, dtype=complex)
     a[...] = (amp[..., 0] + 1j * amp[..., 1])[..., None]
     k4 = 4.0 * np.pi * wf.fc / C_LIGHT
@@ -318,7 +297,7 @@ def _forward(model: PointScatteringModel, wf: LfmWaveform, bins: np.ndarray, lin
     scratch = ag[..., None] * r
     out = np.add.reduce(scratch, axis=-3)
     # one slot's (K, m) block per row
-    by_slot = np.empty(pl.shape[:-2] + (layout.n_params, lmat.shape[0], len(bins)), dtype=complex)
+    by_slot = np.empty(lead + (layout.n_params, lmat.shape[0], len(bins)), dtype=complex)
     # d g / d(s_re, s_im) = gamma * R * [1, j]
     gr = np.multiply(gamma[..., None], r, out=scratch)
     for row, span in layout.amplitude_blocks:
@@ -327,9 +306,13 @@ def _forward(model: PointScatteringModel, wf: LfmWaveform, bins: np.ndarray, lin
     d_range = np.multiply(1j * k4, r, out=r)  # d(gamma*R)/d(p.l) / gamma
     d_range += np.multiply(2.0 / C_LIGHT, dr, out=dr)
     radial = np.multiply(ag[..., None], d_range, out=scratch)
+    # the primitive-result and Jacobian transposes: (..., n, K, n_slots) ->
+    # (n, ..., n_slots, K) and (..., P, K, m) -> (..., K, m, P)
+    head = tuple(range(len(lead)))
+    slots_first, last = (len(lead),) + head + (-1, -2), head + (-2, -1, -3)
     for (kind, _, _, blocks), slots in zip(layout.positions, pos_slots):
         u = _einsum("nkij,ki->nkj", kind.jacobians(slots, lmat), lmat)
-        u = (u if stack is None else _unfold(u, stack)).transpose(slots_first)[..., None]
+        u = _unfold(u, lead).transpose(slots_first)[..., None]
         for (row, span), d in zip(blocks, _per_row(u, len(blocks))):
             np.multiply(radial[at + (row,)], d, out=by_slot[at + (span,)])
     return out, by_slot.transpose(last)

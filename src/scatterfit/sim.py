@@ -54,8 +54,8 @@ def sweep_sightlines(
     count: int, elevation: float = 0.0, az_start: float = 0.0, az_stop: float = 2.0 * np.pi
 ) -> list[SightLine]:
     """Evenly spaced azimuths at fixed elevation; the stop angle is exclusive."""
-    if count < 1:
-        raise ValueError(f"need at least one aspect, got {count}")
+    if not (_is_count(count) and count >= 1):
+        raise ValueError(f"aspect count must be an integer >= 1, got {count!r}")
     az = az_start + (az_stop - az_start) * np.arange(count) / count
     ce, se = np.cos(elevation), np.sin(elevation)
     return [SightLine(np.array([ce * np.cos(a), ce * np.sin(a), se])) for a in az]

@@ -1,6 +1,8 @@
 """Descent fitting, exact line search, Fisher information, and the CRLB."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,7 +32,7 @@ from scatterfit import (
     sightline_from_angles,
     synthesize_profiles,
 )
-from scatterfit import NoiseSpec, Observation, synthesize_pattern
+from scatterfit import NoiseSpec, Observation, cli, synthesize_pattern
 from scatterfit.estimate import _brent
 from conftest import reference_guess, reference_truth, random_line, rel_err
 
@@ -555,6 +557,27 @@ def test_bracket_ladders_change_no_result(noisy_reference_fit, monkeypatch):
         assert laddered.iterations == plain.iterations
         assert laddered.loss_calls < plain.loss_calls
         assert laddered.loss_evals > plain.loss_evals
+
+
+def test_a_fit_above_the_ladder_gate_stacks_its_stencils_only():
+    # the shipped static pattern, 3 scatterers x 64 aspects x 41 bins = 7872
+    # lags a row, is above the ladder's gate: its far-seeded searches evaluate
+    # step by step, one value a call, while each warm stencil of the coherent
+    # phase is one stacked call of three rows: 49 coherent values in 33 calls
+    import scatterfit.estimate as estimate
+
+    raw = json.loads((Path(__file__).resolve().parents[1] / "configs" / "paper_static_pattern.json").read_text())
+    cfg = cli.resolve_config(raw, need_fit=True)
+    wf, grid, lines = cli.build_waveform(cfg), cli.build_grid(cfg), cli.build_sightlines(cfg)
+    noise = NoiseSpec(cfg["noise"]["sigma2"], cfg["noise"]["seed"])
+    pattern = synthesize_pattern(cli.build_model(cfg["scatterers"]), wf, grid, lines, noise)
+    model0 = cli.build_model(cfg["fit"]["initial_model"])
+    assert len(model0.scatterers) * len(lines) * grid.m > estimate._LADDER_LAGS
+    report = sequential_fit(pattern, model0, wf, cli.build_weight(cfg),
+                            rough_cfg=DescentConfig(max_iters=3), fine_cfg=DescentConfig(max_iters=6))
+    assert report.iterations == 9
+    assert report.phase_loss_calls == (34, 33)
+    assert report.phase_loss_evals == (34, 49)
 
 
 @pytest.mark.parametrize("bad", [1e200, math.nan])

@@ -121,6 +121,12 @@ def test_sweep_sightlines_spacing():
     assert np.arctan2(partial[-1].vec[1], partial[-1].vec[0]) == pytest.approx(1.75)
     with pytest.raises(ValueError):
         sweep_sightlines(0)
+    # a count that is not an integer would space the lines unevenly (2.5 gives
+    # three lines 144 degrees apart) or silently mean 1 (True)
+    for count in (2.5, True, "4"):
+        with pytest.raises(ValueError, match=f"aspect count must be an integer >= 1, got {count!r}"):
+            sweep_sightlines(count)
+    assert len(sweep_sightlines(np.int64(4))) == 4
 
 
 def test_spherical_target_is_aspect_independent(wf_unit, grid_mid):
